@@ -12,10 +12,9 @@ from .graph import (FaultGraph, dtw_distance, similarity, pairwise_distances,
                     load_graph, PairBudgetError)
 from .gae import GaeConfig, TrainedGAE, train, embed, encode, decode
 from .ensemble import (EnsembleModel, fit_ensemble, fit_ensemble_weights,
-                       ensemble_predict_proba, cross_entropy,
-                       train_random_forest, train_gradient_boosting,
-                       train_regularized_boosting, train_mlp_classifier,
-                       save_ensemble, load_ensemble)
+                       cross_entropy, train_random_forest,
+                       train_gradient_boosting, train_regularized_boosting,
+                       train_mlp_classifier, save_ensemble, load_ensemble)
 from .stats import (EvaluationReport, TestResult, confusion_matrix,
                     precision_recall_f1, accuracy, two_sample_ttest,
                     paired_ttest, wilcoxon_signed_rank, f1_summary,

@@ -9,10 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# When True, every forward op asserts its output is finite. Slow; meant for
-# debugging exploding losses, not production runs.
-DEBUG = False
-
 
 class ShapeError(ValueError):
     pass
@@ -87,8 +83,6 @@ def _make(kind, values, parents):
     if track:
         out._parents = tuple(parents)
     out._op = kind
-    if DEBUG and not np.all(np.isfinite(out.values)):
-        raise DomainError(f"non-finite values produced by op '{kind}'")
     if _ACTIVE_TAPE is not None:
         _ACTIVE_TAPE.record(kind, [p for p, _ in parents], out)
     return out
@@ -162,7 +156,7 @@ def relu(a: Tensor) -> Tensor:
                  [(a, lambda g: g * mask)])
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
+def leaky_relu(a: Tensor, slope: float) -> Tensor:
     mask = a.values > 0
     return _make("leaky_relu", np.where(mask, a.values, slope * a.values),
                  [(a, lambda g: g * np.where(mask, 1.0, slope))])
@@ -251,26 +245,6 @@ def tmean(a: Tensor) -> Tensor:
 
 def transpose(a: Tensor) -> Tensor:
     return _make("transpose", a.values.T.copy(), [(a, lambda g: g.T)])
-
-
-_OPS = {
-    "matmul": matmul, "add": add, "sub": sub, "mul": mul,
-    "scalar_mul": scalar_mul, "relu": relu, "leaky_relu": leaky_relu,
-    "elu": elu, "sigmoid": sigmoid, "exp": exp, "log": log,
-    "row_softmax": row_softmax, "masked_neighbor_softmax": masked_neighbor_softmax,
-    "concat_cols": concat_cols, "sum": tsum, "mean": tmean, "square": square,
-    "transpose": transpose,
-}
-
-
-def forward_op(kind, inputs, **kwargs) -> Tensor:
-    """Dispatch a forward op by name. ``inputs`` is a list of Tensors."""
-    if kind not in _OPS:
-        raise ValueError(f"unknown op kind '{kind}'")
-    fn = _OPS[kind]
-    if kind == "concat_cols":
-        return fn(inputs, **kwargs)
-    return fn(*inputs, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -65,27 +65,14 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     cfg = pipeline.load_config(args.config, {"seed": args.seed})
-    model, ens, _ = pipeline.load_model_dir(args.model)
+    model, ens, train_report = pipeline.load_model_dir(args.model)
     graph = load_graph(args.graph)
-    train_meta = {"scaler": _train_scaler(args.model),
-                  "source_id": _train_source(args.model)}
+    train_meta = {"scaler": train_report.get("scaler"),
+                  "source_id": train_report.get("train_source", "")}
     report, doc = pipeline.evaluate_on_graph(model, ens, train_meta, graph, cfg)
     atomic_write_text(args.out, json.dumps(doc, indent=1, sort_keys=True))
     print(f"accuracy={report.accuracy:.4f} macro_f1={report.macro_f1:.4f} "
           f"-> {args.out}")
-
-
-def _train_scaler(model_dir):
-    with open(f"{model_dir}/train_report.json") as fh:
-        rep = json.load(fh)
-    if "scaler" not in rep:
-        raise ValueError(f"{model_dir}/train_report.json carries no scaler")
-    return rep["scaler"]
-
-
-def _train_source(model_dir):
-    with open(f"{model_dir}/train_report.json") as fh:
-        return json.load(fh).get("train_source", "")
 
 
 def cmd_cross_eval(args):

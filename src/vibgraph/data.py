@@ -16,6 +16,12 @@ log = logging.getLogger("vibgraph")
 
 BINARY_EXTENSIONS = {".bin", ".f64", ".raw"}
 
+# defaults of the ingestion settings; pipeline.DEFAULT_CONFIG takes them from here
+DEFAULT_N_CLASSES = 10
+DEFAULT_SAMPLING_RATE = 48000.0
+DEFAULT_BLOCK = 1024
+DEFAULT_REDUCER = "rms"
+
 
 @dataclass
 class RawRecording:
@@ -41,7 +47,8 @@ class ManifestEntry:
     load_tag: str
 
 
-def read_manifest(path: str, n_classes: int = 10) -> list[ManifestEntry]:
+def read_manifest(path: str,
+                  n_classes: int = DEFAULT_N_CLASSES) -> list[ManifestEntry]:
     """Parse the `file,channel,fault_class,load_tag` manifest CSV."""
     entries = []
     with open(path, newline="") as fh:
@@ -87,7 +94,8 @@ def _read_samples(path: str, channel: int) -> np.ndarray:
 
 
 def load_recordings(data_dir: str, manifest: list[ManifestEntry],
-                    sampling_rate: float = 48000.0) -> list[RawRecording]:
+                    sampling_rate: float = DEFAULT_SAMPLING_RATE
+                    ) -> list[RawRecording]:
     """Load every manifest entry; NaN samples are dropped with a logged count."""
     recordings = []
     for entry in manifest:
@@ -117,8 +125,8 @@ REDUCERS = {
 }
 
 
-def block_reduce(recording: RawRecording, block: int = 1024,
-                 reducer: str = "rms") -> TimeSeries:
+def block_reduce(recording: RawRecording, block: int = DEFAULT_BLOCK,
+                 reducer: str = DEFAULT_REDUCER) -> TimeSeries:
     """One value per full ``block`` of samples; the trailing remainder is dropped.
 
     Default reducer is RMS, which preserves the vibration energy per block.
@@ -139,8 +147,8 @@ def block_reduce(recording: RawRecording, block: int = 1024,
                       source_id=recording.load_tag)
 
 
-def assemble_dataset(recordings: list[RawRecording], block: int = 1024,
-                     reducer: str = "rms") -> dict[str, TimeSeries]:
+def assemble_dataset(recordings: list[RawRecording], block: int = DEFAULT_BLOCK,
+                     reducer: str = DEFAULT_REDUCER) -> dict[str, TimeSeries]:
     """Per-load labeled series: reduced recordings concatenated in manifest order.
 
     Every load must cover every fault class seen anywhere in the manifest.

@@ -198,17 +198,7 @@ def _grow_regression_tree(X, residual, g, h, depth, max_depth, l2_leaf, newton):
 # base classifiers
 
 
-class BaseClassifier:
-    kind = "base"
-
-    def predict_proba(self, X):
-        raise NotImplementedError
-
-    def state(self):
-        raise NotImplementedError
-
-
-class RandomForest(BaseClassifier):
+class RandomForest:
     """Bagged CART trees: Gini splits, sqrt(d) feature subsampling, bootstrap rows."""
 
     kind = "random_forest"
@@ -248,7 +238,7 @@ def train_random_forest(X, labels, n_trees=100, max_depth=8, seed=0) -> RandomFo
     return RandomForest(trees=trees, n_classes=C)
 
 
-class Boosting(BaseClassifier):
+class Boosting:
     """One-vs-all additive trees on softmax cross-entropy.
 
     First-order mode fits mean-residual leaves; Newton mode uses
@@ -326,7 +316,7 @@ def train_regularized_boosting(X, labels, n_rounds=100, learning_rate=0.1,
                            kind="regularized_boosting")
 
 
-class MLPClassifier(BaseClassifier):
+class MLPClassifier:
     """Single-hidden-layer softmax classifier trained with Adam on the
     autodiff engine."""
 
@@ -396,7 +386,7 @@ BASE_KINDS = ("random_forest", "gradient_boosting", "regularized_boosting",
               "feed_forward_net")
 
 
-def _simplex_grid(resolution=20):
+def _simplex_grid(resolution):
     """All weight vectors on the 4-simplex with coordinates k/resolution."""
     grid = []
     for a in range(resolution + 1):
@@ -465,10 +455,7 @@ class EnsembleModel:
         return np.argmax(self.predict_proba(X), axis=1)
 
 
-def ensemble_predict_proba(model: EnsembleModel, X) -> np.ndarray:
-    return model.predict_proba(X)
-
-
+# defaults of the ensemble settings; pipeline.DEFAULT_CONFIG takes them from here
 DEFAULT_HYPERPARAMS = {
     "rf_trees": 100, "rf_depth": 8,
     "gb_rounds": 100, "gb_lr": 0.1, "gb_depth": 3,

@@ -8,7 +8,6 @@ are a simple stable-name map. Multi-head outputs are averaged (hidden width
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field, asdict
 
@@ -16,12 +15,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .features import FEATURE_DIM
 from .graph import FaultGraph, atomic_write_text
 
 
 @dataclass
 class GaeConfig:
-    input_dim: int = 10
+    """Model settings; these defaults are the ones pipeline.DEFAULT_CONFIG uses."""
+
+    input_dim: int = FEATURE_DIM
     hidden_dim: int = 64
     latent_dim: int = 10
     num_gat_layers: int = 3
@@ -100,7 +102,8 @@ def _mean_heads(outputs):
 # layers
 
 
-def gat_layer(H: Tensor, mask: np.ndarray, head_params: list, slope: float = 0.2):
+def gat_layer(H: Tensor, mask: np.ndarray, head_params: list,
+              slope: float = GaeConfig.leaky_slope):
     """One multi-head graph-attention layer.
 
     Per head: e_ij = LeakyReLU(a_src.(W x_i) + a_dst.(W x_j)), softmax over

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_PAIR_BUDGET = 2_000_000
-DEFAULT_THETA_PERCENTILE = 20.0
 
 
 def dtw_distance(a, b) -> float:
@@ -239,11 +238,29 @@ def save_graph(graph: FaultGraph, path: str) -> None:
 
 
 def load_graph(path: str) -> FaultGraph:
+    """Read a graph file; one that no stage could use raises ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
+    features = np.asarray(doc["features"], dtype=np.float64)
+    labels = np.asarray(doc["labels"])
+    edges = np.asarray(doc["edges"] or np.empty((0, 3)), dtype=np.float64)
+    if features.ndim != 2 or not np.isfinite(features).all():
+        raise ValueError(f"{path}: features must be a finite 2-D matrix")
+    m = len(features)
+    if labels.shape != (m,) or labels.dtype.kind != "i" or (labels < 0).any():
+        raise ValueError(
+            f"{path}: need one integer label >= 0 for each of {m} nodes")
+    if edges.shape[1:] != (3,):
+        raise ValueError(f"{path}: edges must be [i, j, weight] triples")
+    lo, hi, weight = edges.T
+    if ((lo < 0) | (lo >= hi) | (hi >= m) | (lo % 1 != 0) | (hi % 1 != 0)).any():
+        raise ValueError(f"{path}: edge indices must satisfy 0 <= i < j < {m}")
+    if not ((weight > 0) & (weight <= 1)).all():
+        raise ValueError(f"{path}: edge weights must lie in (0, 1]")
     return FaultGraph(
-        node_features=np.asarray(doc["features"], dtype=np.float64),
-        node_labels=np.asarray(doc["labels"], dtype=np.int64),
-        edges=[(int(i), int(j), float(w)) for i, j, w in doc["edges"]],
+        node_features=features,
+        node_labels=labels.astype(np.int64),
+        edges=list(zip(lo.astype(np.int64).tolist(),
+                       hi.astype(np.int64).tolist(), weight.tolist())),
         meta=doc.get("meta", {}),
     )

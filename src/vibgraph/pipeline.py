@@ -6,21 +6,32 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict
 
 import numpy as np
 
 from . import gae, stats
-from .data import assemble_dataset, load_recordings, read_manifest
-from .ensemble import (EnsembleModel, fit_ensemble, load_ensemble,
-                       save_ensemble)
+from .data import (DEFAULT_BLOCK, DEFAULT_N_CLASSES, DEFAULT_REDUCER,
+                   DEFAULT_SAMPLING_RATE, assemble_dataset, load_recordings,
+                   read_manifest)
+from .ensemble import (DEFAULT_HYPERPARAMS, EnsembleModel, fit_ensemble,
+                       load_ensemble, save_ensemble)
 from .features import MinMaxScaler, feature_matrix, minmax_normalize
 from .gae import GaeConfig, TrainedGAE
-from .graph import (FaultGraph, atomic_write_text, build_graph, load_graph,
-                    pairwise_distances, save_graph, threshold_from_percentile)
+from .graph import (DEFAULT_PAIR_BUDGET, FaultGraph, atomic_write_text,
+                    build_graph, load_graph, pairwise_distances, save_graph,
+                    threshold_from_percentile)
 from .segmentation import (DEFAULT_CANDIDATES, default_bin_count,
                            default_stride, segment, select_window, TimeSeries)
 
+_GAE_DEFAULTS = asdict(GaeConfig())
+_SPLIT_KEYS = ("train_frac", "val_frac", "test_frac")
+# GaeConfig fields the config sets by name: input_dim follows the feature
+# layout, leaky_slope is fixed, and split_fractions is set as _SPLIT_KEYS
+_GAE_KEYS = [k for k in _GAE_DEFAULTS
+             if k not in ("input_dim", "leaky_slope", "split_fractions")]
+
+# A setting that another module consumes takes its default from that module.
 DEFAULT_CONFIG = {
     # graph construction
     "candidate_windows": list(DEFAULT_CANDIDATES),
@@ -28,34 +39,19 @@ DEFAULT_CONFIG = {
     "entropy_step": 1,         # stride of the window-scan entropy average
     "stride": 0,               # segmentation stride; 0 -> ceil(w*/2)
     "theta_percentile": 20.0,
-    "pair_budget": 2000000,
+    "pair_budget": DEFAULT_PAIR_BUDGET,
     # ingestion
-    "block_size": 1024,
-    "reducer": "rms",
-    "sampling_rate": 48000.0,
-    "n_classes": 10,
+    "block_size": DEFAULT_BLOCK,
+    "reducer": DEFAULT_REDUCER,
+    "sampling_rate": DEFAULT_SAMPLING_RATE,
+    "n_classes": DEFAULT_N_CLASSES,
     "manifest": "manifest.csv",
     "data_dir": ".",
-    # model
-    "hidden_dim": 64,
-    "latent_dim": 10,
-    "num_gat_layers": 3,
-    "num_transformer_layers": 2,
-    "gat_heads": 10,
-    "transformer_heads": 5,
-    "kl_weight": 0.1,
-    "epochs": 50,
-    "learning_rate": 1e-3,
-    "train_frac": 0.7,
-    "val_frac": 0.15,
-    "test_frac": 0.15,
-    "seed": 0,
+    # model; its seed also seeds the ensemble
+    **{k: _GAE_DEFAULTS[k] for k in _GAE_KEYS},
+    **dict(zip(_SPLIT_KEYS, _GAE_DEFAULTS["split_fractions"])),
     # ensemble
-    "rf_trees": 100, "rf_depth": 8,
-    "gb_rounds": 100, "gb_lr": 0.1, "gb_depth": 3,
-    "xgb_rounds": 100, "xgb_lr": 0.1, "xgb_depth": 3, "xgb_l2": 1.0,
-    "mlp_hidden": 32, "mlp_epochs": 200, "mlp_lr": 0.01,
-    "cv_folds": 5,
+    **DEFAULT_HYPERPARAMS,
 }
 
 
@@ -130,23 +126,8 @@ def config_hash(cfg: dict) -> str:
 
 
 def gae_config_from(cfg: dict) -> GaeConfig:
-    return GaeConfig(
-        input_dim=10,
-        hidden_dim=cfg["hidden_dim"], latent_dim=cfg["latent_dim"],
-        num_gat_layers=cfg["num_gat_layers"],
-        num_transformer_layers=cfg["num_transformer_layers"],
-        gat_heads=cfg["gat_heads"], transformer_heads=cfg["transformer_heads"],
-        kl_weight=cfg["kl_weight"], epochs=cfg["epochs"],
-        learning_rate=cfg["learning_rate"], seed=cfg["seed"],
-        split_fractions=(cfg["train_frac"], cfg["val_frac"], cfg["test_frac"]),
-    ).validate()
-
-
-def ensemble_hyperparams_from(cfg: dict) -> dict:
-    return {k: cfg[k] for k in ("rf_trees", "rf_depth", "gb_rounds", "gb_lr",
-                                "gb_depth", "xgb_rounds", "xgb_lr", "xgb_depth",
-                                "xgb_l2", "mlp_hidden", "mlp_epochs", "mlp_lr",
-                                "cv_folds")}
+    return GaeConfig(**{k: cfg[k] for k in _GAE_KEYS},
+                     split_fractions=tuple(cfg[k] for k in _SPLIT_KEYS)).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +197,8 @@ def train_on_graph(graph: FaultGraph, cfg: dict):
     labels = graph.node_labels
     tr = model.split["train"]
 
-    ens = fit_ensemble(H2[tr], labels[tr], ensemble_hyperparams_from(cfg),
-                       seed=cfg["seed"])
+    ens = fit_ensemble(H2[tr], labels[tr],
+                       {k: cfg[k] for k in DEFAULT_HYPERPARAMS}, seed=cfg["seed"])
 
     n_classes = int(labels.max()) + 1
     source = graph.meta.get("source_id", "")
@@ -340,6 +321,7 @@ def cross_eval(cfg: dict, out_dir: str, loads: list[str] | None = None) -> dict:
         save_window_scores(sel, os.path.join(out_dir, f"window_scores_{tag}.csv"), cfg)
 
     f1_vectors = {}     # train tag -> concatenated per-class F1 over all test tags
+    reports = []
     summary = {"config_hash": config_hash(cfg), "seed": cfg["seed"],
                "reports": {}, "f1_summary": {}, "paired_tests": {}}
     for train_tag in tags:
@@ -356,6 +338,7 @@ def cross_eval(cfg: dict, out_dir: str, loads: list[str] | None = None) -> dict:
             summary["reports"][f"{train_tag}->{test_tag}"] = {
                 "file": name, "macro_f1": report.macro_f1,
                 "accuracy": report.accuracy}
+            reports.append(report)
             per_test_f1.append(report.f1)
         f1_vectors[train_tag] = np.concatenate(per_test_f1)
         mean, std = stats.f1_summary(per_test_f1)
@@ -371,9 +354,6 @@ def cross_eval(cfg: dict, out_dir: str, loads: list[str] | None = None) -> dict:
 
     atomic_write_text(os.path.join(out_dir, "summary.json"),
                       json.dumps(summary, indent=1, sort_keys=True))
-    reports = [stats.EvaluationReport.from_dict(
-                   json.load(open(os.path.join(out_dir, rec["file"]))))
-               for rec in summary["reports"].values()]
     atomic_write_text(os.path.join(out_dir, "summary.md"),
                       stats.render_markdown_report(reports))
     return summary

@@ -168,17 +168,15 @@ def paired_ttest(sample_a, sample_b) -> TestResult:
         raise ValueError("paired test needs at least 2 pairs")
     d = a - b
     sd = d.std(ddof=1)
+    # tail = P(T > |t|); the two-sided and the one-sided p both follow from it
     if sd == 0:
-        t, p = (0.0, 1.0) if d.mean() == 0 else (float(np.sign(d.mean())) * np.inf, 0.0)
+        t = 0.0 if d.mean() == 0 else float(np.sign(d.mean())) * np.inf
+        tail = 0.5 if t == 0 else 0.0
     else:
         t = d.mean() / (sd / np.sqrt(n))
-        p = _two_sided_t_p(t, n - 1)
-    if np.isinf(t):
-        p_greater = 0.0 if t > 0 else 1.0
-    elif sd == 0:
-        p_greater = 0.5
-    else:
-        p_greater = float(sps.t.sf(t, n - 1))
+        tail = float(sps.t.sf(abs(t), n - 1))
+    p = 2.0 * tail
+    p_greater = tail if t >= 0 else 1.0 - tail
     return TestResult(kind="paired_t", statistic=float(t), p_value=p,
                       significant_at_0_05=p < 0.05,
                       extra={"mean_difference": float(d.mean()), "df": n - 1,

@@ -207,12 +207,6 @@ class TestTape:
             ad.square(t([[3.0]]))
         assert len(outer.ops) == 2 and len(inner.ops) == 1
 
-    def test_forward_op_dispatch(self):
-        out = ad.forward_op("add", [t([[1.0]]), t([[2.0]])])
-        assert out.item() == 3.0
-        with pytest.raises(ValueError):
-            ad.forward_op("nope", [])
-
 
 class TestAdam:
     def test_first_step_is_lr_signed(self):

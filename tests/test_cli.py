@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -98,6 +99,23 @@ class TestTrain:
                        "--out", str(tmp_path / "m")])
         assert rc == cli.EXIT_IO
 
+    @pytest.mark.parametrize("breaks, says", [
+        (lambda doc: doc["edges"].append([0, len(doc["labels"]) + 5, 0.5]),
+         "0 <= i < j"),
+        (lambda doc: doc["features"][3].__setitem__(2, float("nan")), "finite"),
+    ], ids=["out_of_range_edge", "nan_feature"])
+    def test_malformed_graph_is_validation_error(self, workspace, built,
+                                                 tmp_path, capsys, breaks, says):
+        doc = json.load(open(built["graph"]))
+        breaks(doc)
+        graph = tmp_path / "broken.json"
+        graph.write_text(json.dumps(doc))
+        rc = cli.main(["train", "--config", workspace["config"],
+                       "--graph", str(graph), "--out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_VALIDATION
+        assert err.startswith("error:") and err.count("\n") == 1 and says in err
+
 
 class TestEvaluate:
     def test_report_written(self, workspace, built, tmp_path):
@@ -109,6 +127,18 @@ class TestEvaluate:
         doc = json.load(open(out))
         assert set(doc) >= {"confusion", "f1", "macro_f1", "accuracy"}
         assert len(doc["f1"]) == 3
+
+    def test_report_without_scaler_is_validation_error(self, workspace, built,
+                                                       tmp_path):
+        model = tmp_path / "model"
+        shutil.copytree(built["model"], model)
+        report = json.load(open(model / "train_report.json"))
+        del report["scaler"]
+        (model / "train_report.json").write_text(json.dumps(report))
+        rc = cli.main(["evaluate", "--config", workspace["config"],
+                       "--model", str(model), "--graph", built["graph"],
+                       "--out", str(tmp_path / "report.json")])
+        assert rc == cli.EXIT_VALIDATION
 
 
 class TestCrossEval:

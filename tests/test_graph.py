@@ -224,6 +224,31 @@ class TestGraphIO:
         doc = json.loads(path.read_text())
         assert set(doc) == {"meta", "features", "labels", "edges"}
 
+    @pytest.mark.parametrize("key, value", [
+        ("edges", [[0, 3, 0.5]]),           # j >= m
+        ("edges", [[1, 1, 0.5]]),           # i == j
+        ("edges", [[2, 1, 0.5]]),           # i > j
+        ("edges", [[-1, 1, 0.5]]),
+        ("edges", [[0, 1.5, 0.5]]),         # not an index
+        ("edges", [[0, 1, 0.0]]),           # weight outside (0, 1]
+        ("edges", [[0, 1, 1.5]]),
+        ("edges", [[0, 1]]),                # not a triple
+        ("features", [[0.1, float("inf")], [0.2, 0.3], [0.4, 0.5]]),
+        ("features", [0.1, 0.2, 0.3]),      # not 2-D
+        ("labels", [0, -1, 1]),
+        ("labels", [0, 1.5, 1]),
+        ("labels", [0, 1]),                 # one label short
+    ])
+    def test_malformed_file_rejected(self, tmp_path, key, value):
+        doc = {"meta": {}, "features": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]],
+               "labels": [0, 1, 1], "edges": [[0, 1, 0.5], [1, 2, 1.0]]}
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        assert len(gr.load_graph(str(path)).edges) == 2
+        path.write_text(json.dumps(dict(doc, **{key: value})))
+        with pytest.raises(ValueError):
+            gr.load_graph(str(path))
+
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         gr.atomic_write_text(str(tmp_path / "x.txt"), "hello")
         assert [p.name for p in tmp_path.iterdir()] == ["x.txt"]

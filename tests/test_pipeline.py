@@ -69,6 +69,8 @@ class TestConfigParsing:
         c = pl.config_hash(dict(pl.DEFAULT_CONFIG, seed=1))
         assert a == b != c
         assert len(a) == 16
+        # every graph file embeds this hash of the defaults
+        assert a == "2a605233cff124f2"
 
 
 class TestGaeConfigFrom:

@@ -92,14 +92,20 @@ class TestTwoSampleT:
 class TestPairedT:
     def test_matches_scipy(self):
         rng = np.random.default_rng(1)
-        for _ in range(10):
-            n = int(rng.integers(5, 15))
-            a = rng.normal(size=n)
-            b = a + rng.normal(0.3, 0.5, size=n)
-            got = st.paired_ttest(a, b)
-            want = sps.ttest_rel(a, b)
-            assert got.statistic == pytest.approx(want.statistic)
-            assert got.p_value == pytest.approx(want.pvalue)
+        signs = set()
+        for shift in (0.3, -0.3):
+            for _ in range(10):
+                n = int(rng.integers(5, 15))
+                a = rng.normal(size=n)
+                b = a + rng.normal(shift, 0.5, size=n)
+                got = st.paired_ttest(a, b)
+                want = sps.ttest_rel(a, b)
+                assert got.statistic == pytest.approx(want.statistic)
+                assert got.p_value == pytest.approx(want.pvalue)
+                greater = sps.ttest_rel(a, b, alternative="greater").pvalue
+                assert abs(got.extra["p_value_one_sided"] - greater) <= 1e-12
+                signs.add(got.statistic > 0)
+        assert signs == {True, False}
 
     def test_one_sided_p_is_half_for_positive_t(self):
         a = np.array([1.0, 2.0, 3.0, 4.5])
