@@ -97,105 +97,83 @@ def _tree_apply(node, X, width):
     return out
 
 
-def _best_split_gini(X, onehot, feat_ids):
-    """Best (feature, threshold) by Gini impurity decrease; None if no split."""
+def _gini_gain(left, right, nl, nr, total, n):
+    """Gini impurity decrease; ``left``/``right`` are n_splits x C class counts."""
+    gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
+    gini_r = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
+    parent = 1.0 - ((total / n) ** 2).sum()
+    return parent - (nl * gini_l + nr * gini_r) / n
+
+
+def _sse_gain(left, right, nl, nr, total, n):
+    """Sum-of-squares reduction; ``left``/``right`` are target sums per split."""
+    return left ** 2 / nl + right ** 2 / nr - total ** 2 / n
+
+
+def _best_split(X, Y, feat_ids, gain, min_gain):
+    """Best (feature, midpoint threshold, gain) over ``feat_ids`` gaining more
+    than ``min_gain``, else None. Each feature is scanned in stable sorted
+    order with running sums of ``Y``; an earlier feature wins ties."""
     n = len(X)
-    total = onehot.sum(axis=0)
-    best = (None, 0.0, -1e-12)
+    total = Y.sum(axis=0)
+    best = (None, 0.0, min_gain)
     for f in feat_ids:
         order = np.argsort(X[:, f], kind="stable")
         xs = X[order, f]
-        cum = np.cumsum(onehot[order], axis=0)     # n x C left counts
+        cum = np.cumsum(Y[order], axis=0)
         valid = np.flatnonzero(xs[:-1] < xs[1:])   # split between i and i+1
         if len(valid) == 0:
             continue
         nl = (valid + 1).astype(np.float64)
-        nr = n - nl
         left = cum[valid]
-        right = total - left
-        gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
-        gini_r = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
-        parent = 1.0 - ((total / n) ** 2).sum()
-        gain = parent - (nl * gini_l + nr * gini_r) / n
-        k = int(np.argmax(gain))
-        if gain[k] > best[2]:
-            best = (f, 0.5 * (xs[valid[k]] + xs[valid[k] + 1]), float(gain[k]))
+        g = gain(left, total - left, nl, n - nl, total, n)
+        k = int(np.argmax(g))
+        if g[k] > best[2]:
+            best = (f, 0.5 * (xs[valid[k]] + xs[valid[k] + 1]), float(g[k]))
     return best if best[0] is not None else None
 
 
-def _best_split_sse(X, target, feat_ids):
-    """Best split by sum-of-squares reduction of a scalar regression target."""
-    n = len(X)
-    total_sum = target.sum()
-    best = (None, 0.0, 1e-12)
-    for f in feat_ids:
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        cum = np.cumsum(target[order])
-        valid = np.flatnonzero(xs[:-1] < xs[1:])
-        if len(valid) == 0:
-            continue
-        nl = (valid + 1).astype(np.float64)
-        nr = n - nl
-        left = cum[valid]
-        right = total_sum - left
-        # maximizing sum(left)^2/nl + sum(right)^2/nr minimizes total SSE
-        gain = left ** 2 / nl + right ** 2 / nr - total_sum ** 2 / n
-        k = int(np.argmax(gain))
-        if gain[k] > best[2]:
-            best = (f, 0.5 * (xs[valid[k]] + xs[valid[k] + 1]), float(gain[k]))
-    return best if best[0] is not None else None
-
-
-def _grow_classification_tree(X, onehot, depth, max_depth, n_sub, rng):
+def _grow_tree(X, rows, depth, max_depth, split, leaf):
+    """Grow over ``rows`` of ``X``, depth first and left before right; a node
+    is a ``leaf(rows)`` at ``max_depth``, below two rows, or where
+    ``split(rows)`` is None."""
     node = _Node()
-    counts = onehot.sum(axis=0)
-    if depth >= max_depth or len(X) < 2 or counts.max() == counts.sum():
-        node.value = counts / counts.sum()
+    found = None if depth >= max_depth or len(rows) < 2 else split(rows)
+    if found is None:
+        node.value = leaf(rows)
         return node
-    feat_ids = rng.choice(X.shape[1], size=n_sub, replace=False)
-    split = _best_split_gini(X, onehot, feat_ids)
-    if split is None:
-        node.value = counts / counts.sum()
-        return node
-    f, t, _ = split
-    go_left = X[:, f] <= t
-    node.feature, node.threshold = int(f), float(t)
-    node.left = _grow_classification_tree(X[go_left], onehot[go_left],
-                                          depth + 1, max_depth, n_sub, rng)
-    node.right = _grow_classification_tree(X[~go_left], onehot[~go_left],
-                                           depth + 1, max_depth, n_sub, rng)
-    return node
-
-
-def _grow_regression_tree(X, residual, g, h, depth, max_depth, l2_leaf, newton):
-    """Structure fit on the residual; leaf values first-order mean or Newton."""
-    node = _Node()
-
-    def leaf():
-        if newton:
-            node.value = float(-g.sum() / (h.sum() + l2_leaf))
-        else:
-            node.value = float(residual.mean())
-        return node
-
-    if depth >= max_depth or len(X) < 2:
-        return leaf()
-    split = _best_split_sse(X, residual, range(X.shape[1]))
-    if split is None:
-        return leaf()
-    f, t, _ = split
-    go_left = X[:, f] <= t
-    node.feature, node.threshold = int(f), float(t)
-    node.left = _grow_regression_tree(X[go_left], residual[go_left], g[go_left],
-                                      h[go_left], depth + 1, max_depth, l2_leaf, newton)
-    node.right = _grow_regression_tree(X[~go_left], residual[~go_left], g[~go_left],
-                                       h[~go_left], depth + 1, max_depth, l2_leaf, newton)
+    node.feature, node.threshold = int(found[0]), float(found[1])
+    go_left = X[rows, node.feature] <= node.threshold
+    node.left = _grow_tree(X, rows[go_left], depth + 1, max_depth, split, leaf)
+    node.right = _grow_tree(X, rows[~go_left], depth + 1, max_depth, split, leaf)
     return node
 
 
 # ---------------------------------------------------------------------------
 # base classifiers
+
+
+# defaults of the ensemble settings; pipeline.DEFAULT_CONFIG takes them from here,
+# and so do the signature defaults of the train_* functions below
+DEFAULT_HYPERPARAMS = {
+    "rf_trees": 100, "rf_depth": 8,
+    "gb_rounds": 100, "gb_lr": 0.1, "gb_depth": 3,
+    "xgb_rounds": 100, "xgb_lr": 0.1, "xgb_depth": 3, "xgb_l2": 1.0,
+    "mlp_hidden": 32, "mlp_epochs": 200, "mlp_lr": 1e-2,
+    "cv_folds": 5,
+}
+_HP = DEFAULT_HYPERPARAMS
+
+
+def _check_hyperparams(hp):
+    """Raise ValueError naming the first setting out of range: cv_folds >= 2,
+    rf_trees and mlp_hidden >= 1, learning rates > 0, all others >= 0."""
+    for key in DEFAULT_HYPERPARAMS:
+        low = {"cv_folds": 2, "rf_trees": 1, "mlp_hidden": 1}.get(key, 0)
+        strict = key.endswith("_lr")
+        if not (hp[key] > low if strict else hp[key] >= low):
+            raise ValueError(f"{key} must be {'>' if strict else '>='} {low}, "
+                             f"got {hp[key]!r}")
 
 
 class RandomForest:
@@ -224,17 +202,29 @@ class RandomForest:
                    n_classes=s["n_classes"])
 
 
-def train_random_forest(X, labels, n_trees=100, max_depth=8, seed=0) -> RandomForest:
+def train_random_forest(X, labels, n_trees=_HP["rf_trees"],
+                        max_depth=_HP["rf_depth"], seed=0) -> RandomForest:
     X = np.asarray(X, dtype=np.float64)
     labels, C = _check_labels(labels)
     onehot = np.eye(C)[labels]
     rng = np.random.default_rng(seed)
     n_sub = max(1, int(np.sqrt(X.shape[1])))
-    trees = []
-    for _ in range(n_trees):
-        boot = rng.integers(0, len(X), size=len(X))
-        trees.append(_grow_classification_tree(X[boot], onehot[boot], 0,
-                                               max_depth, n_sub, rng))
+
+    def leaf(rows):
+        counts = onehot[rows].sum(axis=0)
+        return counts / counts.sum()
+
+    def split(rows):
+        counts = onehot[rows].sum(axis=0)
+        if counts.max() == counts.sum():      # pure node
+            return None
+        feat_ids = rng.choice(X.shape[1], size=n_sub, replace=False)
+        return _best_split(X[rows], onehot[rows], feat_ids, _gini_gain, -1e-12)
+
+    # each tree's rows are its bootstrap sample, drawn with repetition
+    trees = [_grow_tree(X, rng.integers(0, len(X), size=len(X)), 0, max_depth,
+                        split, leaf)
+             for _ in range(n_trees)]
     return RandomForest(trees=trees, n_classes=C)
 
 
@@ -246,8 +236,7 @@ class Boosting:
     Hessians.
     """
 
-    def __init__(self, kind, trees=None, prior_scores=None, learning_rate=0.1,
-                 n_classes=0):
+    def __init__(self, kind, prior_scores, learning_rate, n_classes, trees=None):
         self.kind = kind
         self.trees = trees or []          # list of rounds, each a list of C trees
         self.prior_scores = prior_scores
@@ -278,8 +267,8 @@ class Boosting:
                    learning_rate=s["learning_rate"], n_classes=s["n_classes"])
 
 
-def _train_boosting(X, labels, n_rounds, learning_rate, depth, l2_leaf, newton,
-                    kind):
+def _train_boosting(X, labels, n_rounds, learning_rate, depth, kind, l2_leaf=None):
+    """Newton leaves when ``l2_leaf`` is given, first-order leaves otherwise."""
     X = np.asarray(X, dtype=np.float64)
     labels, C = _check_labels(labels)
     onehot = np.eye(C)[labels]
@@ -287,6 +276,7 @@ def _train_boosting(X, labels, n_rounds, learning_rate, depth, l2_leaf, newton,
     model = Boosting(kind, prior_scores=prior, learning_rate=learning_rate,
                      n_classes=C)
     scores = np.tile(prior, (len(X), 1))
+    all_rows = np.arange(len(X))
     for _ in range(n_rounds):
         p = _softmax(scores)
         round_trees = []
@@ -294,26 +284,38 @@ def _train_boosting(X, labels, n_rounds, learning_rate, depth, l2_leaf, newton,
             residual = onehot[:, c] - p[:, c]       # negative gradient
             g = p[:, c] - onehot[:, c]
             h = p[:, c] * (1.0 - p[:, c])
-            tree = _grow_regression_tree(X, residual, g, h, 0, depth, l2_leaf,
-                                         newton)
+
+            def split(rows):
+                return _best_split(X[rows], residual[rows], range(X.shape[1]),
+                                   _sse_gain, 1e-12)
+
+            def mean_leaf(rows):
+                return float(residual[rows].mean())
+
+            def newton_leaf(rows):
+                return float(-g[rows].sum() / (h[rows].sum() + l2_leaf))
+
+            tree = _grow_tree(X, all_rows, 0, depth, split,
+                              mean_leaf if l2_leaf is None else newton_leaf)
             round_trees.append(tree)
             scores[:, c] += learning_rate * _tree_apply(tree, X, 1)
         model.trees.append(round_trees)
     return model
 
 
-def train_gradient_boosting(X, labels, n_rounds=100, learning_rate=0.1,
-                            depth=3, seed=0) -> Boosting:
-    # deterministic given data; seed kept for interface uniformity
+def train_gradient_boosting(X, labels, n_rounds=_HP["gb_rounds"],
+                            learning_rate=_HP["gb_lr"],
+                            depth=_HP["gb_depth"]) -> Boosting:
     return _train_boosting(X, labels, n_rounds, learning_rate, depth,
-                           l2_leaf=0.0, newton=False, kind="gradient_boosting")
+                           "gradient_boosting")
 
 
-def train_regularized_boosting(X, labels, n_rounds=100, learning_rate=0.1,
-                               depth=3, l2_leaf=1.0, seed=0) -> Boosting:
+def train_regularized_boosting(X, labels, n_rounds=_HP["xgb_rounds"],
+                               learning_rate=_HP["xgb_lr"],
+                               depth=_HP["xgb_depth"],
+                               l2_leaf=_HP["xgb_l2"]) -> Boosting:
     return _train_boosting(X, labels, n_rounds, learning_rate, depth,
-                           l2_leaf=l2_leaf, newton=True,
-                           kind="regularized_boosting")
+                           "regularized_boosting", l2_leaf)
 
 
 class MLPClassifier:
@@ -356,7 +358,8 @@ def mlp_loss(params, X_arr, onehot):
     return ad.scalar_mul(ad.tsum(picked), -1.0 / len(X_arr))
 
 
-def train_mlp_classifier(X, labels, hidden=32, epochs=200, lr=1e-2,
+def train_mlp_classifier(X, labels, hidden=_HP["mlp_hidden"],
+                         epochs=_HP["mlp_epochs"], lr=_HP["mlp_lr"],
                          seed=0) -> MLPClassifier:
     X = np.asarray(X, dtype=np.float64)
     labels, C = _check_labels(labels)
@@ -455,23 +458,13 @@ class EnsembleModel:
         return np.argmax(self.predict_proba(X), axis=1)
 
 
-# defaults of the ensemble settings; pipeline.DEFAULT_CONFIG takes them from here
-DEFAULT_HYPERPARAMS = {
-    "rf_trees": 100, "rf_depth": 8,
-    "gb_rounds": 100, "gb_lr": 0.1, "gb_depth": 3,
-    "xgb_rounds": 100, "xgb_lr": 0.1, "xgb_depth": 3, "xgb_l2": 1.0,
-    "mlp_hidden": 32, "mlp_epochs": 200, "mlp_lr": 1e-2,
-    "cv_folds": 5,
-}
-
-
 def _train_bases(X, labels, hp, seed):
     return [
         train_random_forest(X, labels, hp["rf_trees"], hp["rf_depth"], seed),
         train_gradient_boosting(X, labels, hp["gb_rounds"], hp["gb_lr"],
-                                hp["gb_depth"], seed),
+                                hp["gb_depth"]),
         train_regularized_boosting(X, labels, hp["xgb_rounds"], hp["xgb_lr"],
-                                   hp["xgb_depth"], hp["xgb_l2"], seed),
+                                   hp["xgb_depth"], hp["xgb_l2"]),
         train_mlp_classifier(X, labels, hp["mlp_hidden"], hp["mlp_epochs"],
                              hp["mlp_lr"], seed),
     ]
@@ -494,6 +487,7 @@ def stratified_folds(labels, n_folds, rng):
 def fit_ensemble(X, labels, hyperparams=None, seed=0) -> EnsembleModel:
     """Cross-validated weight fitting followed by a full-data refit of the bases."""
     hp = dict(DEFAULT_HYPERPARAMS, **(hyperparams or {}))
+    _check_hyperparams(hp)
     X = np.asarray(X, dtype=np.float64)
     labels, C = _check_labels(labels)
     rng = np.random.default_rng(seed)

@@ -241,6 +241,8 @@ def load_graph(path: str) -> FaultGraph:
     """Read a graph file; one that no stage could use raises ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or not {"features", "labels", "edges"} <= doc.keys():
+        raise ValueError(f"{path}: need a JSON object with features, labels and edges")
     features = np.asarray(doc["features"], dtype=np.float64)
     labels = np.asarray(doc["labels"])
     edges = np.asarray(doc["edges"] or np.empty((0, 3)), dtype=np.float64)

@@ -14,8 +14,8 @@ from . import gae, stats
 from .data import (DEFAULT_BLOCK, DEFAULT_N_CLASSES, DEFAULT_REDUCER,
                    DEFAULT_SAMPLING_RATE, assemble_dataset, load_recordings,
                    read_manifest)
-from .ensemble import (DEFAULT_HYPERPARAMS, EnsembleModel, fit_ensemble,
-                       load_ensemble, save_ensemble)
+from .ensemble import (DEFAULT_HYPERPARAMS, EnsembleModel, _check_hyperparams,
+                       fit_ensemble, load_ensemble, save_ensemble)
 from .features import MinMaxScaler, feature_matrix, minmax_normalize
 from .gae import GaeConfig, TrainedGAE
 from .graph import (DEFAULT_PAIR_BUDGET, FaultGraph, atomic_write_text,
@@ -192,13 +192,14 @@ def train_on_graph(graph: FaultGraph, cfg: dict):
     fitted on the training split only; the report carries metrics for all
     three splits of the training graph.
     """
+    hp = {k: cfg[k] for k in DEFAULT_HYPERPARAMS}
+    _check_hyperparams(hp)          # before the GAE spends its training time
     model = gae.train(graph, gae_config_from(cfg))
     H2 = gae.embed(graph, model)
     labels = graph.node_labels
     tr = model.split["train"]
 
-    ens = fit_ensemble(H2[tr], labels[tr],
-                       {k: cfg[k] for k in DEFAULT_HYPERPARAMS}, seed=cfg["seed"])
+    ens = fit_ensemble(H2[tr], labels[tr], hp, seed=cfg["seed"])
 
     n_classes = int(labels.max()) + 1
     source = graph.meta.get("source_id", "")

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from vibgraph import cli, synthetic
+from vibgraph import cli, gae, synthetic
 
 FAST_CONFIG = """
 candidate_windows = [8, 16]
@@ -103,7 +103,8 @@ class TestTrain:
         (lambda doc: doc["edges"].append([0, len(doc["labels"]) + 5, 0.5]),
          "0 <= i < j"),
         (lambda doc: doc["features"][3].__setitem__(2, float("nan")), "finite"),
-    ], ids=["out_of_range_edge", "nan_feature"])
+        (lambda doc: doc.pop("labels"), "need a JSON object"),
+    ], ids=["out_of_range_edge", "nan_feature", "missing_labels"])
     def test_malformed_graph_is_validation_error(self, workspace, built,
                                                  tmp_path, capsys, breaks, says):
         doc = json.load(open(built["graph"]))
@@ -115,6 +116,24 @@ class TestTrain:
         err = capsys.readouterr().err
         assert rc == cli.EXIT_VALIDATION
         assert err.startswith("error:") and err.count("\n") == 1 and says in err
+
+    def test_bad_ensemble_setting_fails_before_training(self, workspace, built,
+                                                        tmp_path, capsys,
+                                                        monkeypatch):
+        config = tmp_path / "bad.toml"
+        config.write_text(FAST_CONFIG
+                          + f'data_dir = "{workspace["data_dir"]}"\n'
+                          + "cv_folds = 0\n")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("the GAE trained on an invalid config")
+
+        monkeypatch.setattr(gae, "train", no_training)
+        rc = cli.main(["train", "--config", str(config), "--graph", built["graph"],
+                       "--out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_VALIDATION
+        assert err == "error: cv_folds must be >= 2, got 0\n"
 
 
 class TestEvaluate:

@@ -5,6 +5,9 @@ weight search against the simplex-corner containment argument (the best mix
 can never be worse than the best single base).
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -57,7 +60,7 @@ class TestGiniSplit:
             X = rng.integers(0, 6, size=(25, 3)).astype(float)
             y = rng.integers(0, 3, size=25)
             onehot = np.eye(3)[y]
-            got = en._best_split_gini(X, onehot, range(3))
+            got = en._best_split(X, onehot, range(3), en._gini_gain, -1e-12)
             want = self.brute_force(X, y, 3)
             if got is None:
                 assert want[2] <= 0
@@ -67,21 +70,69 @@ class TestGiniSplit:
     def test_pure_node_no_split_needed(self):
         X = np.random.default_rng(2).random((10, 2))
         onehot = np.eye(2)[np.zeros(10, dtype=int)]
-        split = en._best_split_gini(X, onehot, range(2))
+        split = en._best_split(X, onehot, range(2), en._gini_gain, -1e-12)
         assert split is None or split[2] <= 1e-12
 
 
 class TestSseSplit:
+    @staticmethod
+    def sse(v):
+        return ((v - v.mean()) ** 2).sum() if len(v) else 0.0
+
+    def reduction(self, X, target, f, t):
+        left = X[:, f] <= t
+        return self.sse(target) - self.sse(target[left]) - self.sse(target[~left])
+
+    def test_gain_matches_exhaustive(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            X = rng.integers(0, 6, size=(25, 3)).astype(float)
+            target = rng.normal(size=25)
+            want = max(self.reduction(X, target, f, t) for f in range(3)
+                       for t in np.unique(X[:, f])[:-1])
+            f, t, gain = en._best_split(X, target, range(3), en._sse_gain, 1e-12)
+            assert gain == pytest.approx(want)
+            assert self.reduction(X, target, f, t) == pytest.approx(want)
+
     def test_obvious_step_function(self):
         X = np.arange(10.0).reshape(-1, 1)
         target = np.where(X[:, 0] < 5, 0.0, 10.0)
-        f, t, gain = en._best_split_sse(X, target, range(1))
+        f, t, gain = en._best_split(X, target, range(1), en._sse_gain, 1e-12)
         assert f == 0 and 4.0 < t < 5.0
 
     def test_constant_target_no_gain(self):
         X = np.arange(6.0).reshape(-1, 1)
-        split = en._best_split_sse(X, np.ones(6), range(1))
+        split = en._best_split(X, np.ones(6), range(1), en._sse_gain, 1e-12)
         assert split is None
+
+
+class TestTreeStatesPinned:
+    # sha256 of json.dumps(state, sort_keys=True), recorded before the forest
+    # and the boosters shared one split scan and one grower. Integer features
+    # tie many gains, so split tie-breaking and leaf arithmetic must stay as
+    # they were: scoring Gini as a multi-output SSE changes the forest here,
+    # and a Newton leaf written as sum(residual)/(sum(h)+l2) flips the sign of
+    # a zero leaf in the regularized booster.
+    PINNED = {
+        "random_forest":
+            "be4667232fc8192fb3d6ae6e4e7ecbbc4ff7e28192cb53894e9e4478dfc215e9",
+        "gradient_boosting":
+            "5163c7f40192452bd56b50ea0aff98ef40ed11e4e55d30713941108c3699bc43",
+        "regularized_boosting":
+            "7ba6fd755819ea379807030e44a1224b2ce34701618b147cf29ffb488bab1ee0",
+    }
+
+    def test_states_unchanged(self):
+        rng = np.random.default_rng(1)
+        X = rng.integers(0, 5, (150, 8)).astype(float)
+        y = rng.integers(0, 10, 150)
+        models = [en.train_random_forest(X, y, n_trees=20, seed=1),
+                  en.train_gradient_boosting(X, y, n_rounds=8),
+                  en.train_regularized_boosting(X, y, n_rounds=8)]
+        got = {m.kind: hashlib.sha256(
+                   json.dumps(m.state(), sort_keys=True).encode()).hexdigest()
+               for m in models}
+        assert got == self.PINNED
 
 
 class TestRandomForest:
@@ -239,6 +290,15 @@ class TestEnsembleModel:
         ce_mixed = en.cross_entropy(mixed, y)
         for p in model.oof_probs:
             assert ce_mixed <= en.cross_entropy(p, y) + 1e-12
+
+
+class TestHyperparamRanges:
+    @pytest.mark.parametrize("key, value", [
+        ("cv_folds", 0), ("rf_trees", 0), ("mlp_hidden", 0), ("gb_lr", -1.0)])
+    def test_out_of_range_rejected(self, key, value):
+        X, y = blobs(n_per=10, seed=15)
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            en.fit_ensemble(X, y, {key: value})
 
 
 class TestStratifiedFolds:

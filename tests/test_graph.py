@@ -201,6 +201,9 @@ class TestBuildGraph:
         assert all(i < j for i, j in pairs)
 
 
+MISSING = object()     # a key left out of the graph file
+
+
 class TestGraphIO:
     def test_round_trip(self, tmp_path):
         s = segs([[0.0, 1.0], [0.5, 1.5], [10.0, 11.0]])
@@ -238,6 +241,10 @@ class TestGraphIO:
         ("labels", [0, -1, 1]),
         ("labels", [0, 1.5, 1]),
         ("labels", [0, 1]),                 # one label short
+        ("features", MISSING),
+        ("labels", MISSING),
+        ("edges", MISSING),
+        (None, [[0.1, 0.2], [0.3, 0.4]]),   # top level not an object
     ])
     def test_malformed_file_rejected(self, tmp_path, key, value):
         doc = {"meta": {}, "features": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]],
@@ -245,7 +252,10 @@ class TestGraphIO:
         path = tmp_path / "g.json"
         path.write_text(json.dumps(doc))
         assert len(gr.load_graph(str(path)).edges) == 2
-        path.write_text(json.dumps(dict(doc, **{key: value})))
+        broken = value if key is None else dict(doc, **{key: value})
+        if value is MISSING:
+            del broken[key]
+        path.write_text(json.dumps(broken))
         with pytest.raises(ValueError):
             gr.load_graph(str(path))
 
