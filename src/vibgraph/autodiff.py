@@ -216,20 +216,17 @@ def masked_neighbor_softmax(a: Tensor, mask: np.ndarray) -> Tensor:
                  [(a, lambda g: s * (g - (g * s).sum(axis=1, keepdims=True)))])
 
 
-def concat_cols(tensors) -> Tensor:
-    tensors = list(tensors)
-    rows = tensors[0].shape[0]
-    for t in tensors:
-        if t.shape[0] != rows:
-            raise ShapeError(_shapes("concat_cols", *tensors))
-    widths = [t.shape[1] for t in tensors]
-    offsets = np.cumsum([0] + widths)
+def cols(a: Tensor, lo: int, hi: int) -> Tensor:
+    """Columns ``lo:hi`` of ``a``; the gradient lands in those columns only."""
+    if not 0 <= lo < hi <= a.shape[1]:
+        raise ShapeError(f"op 'cols' got columns {lo}:{hi} of shape {a.shape}")
 
-    def make_vjp(k):
-        return lambda g: g[:, offsets[k]:offsets[k + 1]]
+    def vjp(g):
+        full = np.zeros(a.shape)
+        full[:, lo:hi] = g
+        return full
 
-    return _make("concat_cols", np.concatenate([t.values for t in tensors], axis=1),
-                 [(t, make_vjp(k)) for k, t in enumerate(tensors)])
+    return _make("cols", a.values[:, lo:hi].copy(), [(a, vjp)])
 
 
 def tsum(a: Tensor) -> Tensor:

@@ -2,8 +2,9 @@
 transformer encoder, reparameterized latent space, and sigmoid feature decoder.
 
 All learnable parameters live in a flat name -> Tensor dict so checkpoints
-are a simple stable-name map. Multi-head outputs are averaged (hidden width
-64 is not divisible by 10 heads, so concatenation cannot produce it).
+are a simple stable-name map. An attention layer holds one matrix per
+projection, head k in column block k. Multi-head outputs are averaged (hidden
+width 64 is not divisible by 10 heads, so concatenation cannot produce it).
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .features import FEATURE_DIM
 from .graph import FaultGraph, atomic_write_text
+
+LEAKY_SLOPE = 0.2       # negative slope of the GAT attention-score LeakyReLU
+SPLIT_KEYS = ("train_frac", "val_frac", "test_frac")   # config names of split_fractions
+GAT_PARAMS = ("W", "a_src", "a_dst")
+TR_PARAMS = ("Wq", "Wk", "Wv")
 
 
 @dataclass
@@ -33,17 +39,22 @@ class GaeConfig:
     kl_weight: float = 0.1
     epochs: int = 50
     learning_rate: float = 1e-3
-    leaky_slope: float = 0.2
     seed: int = 0
     split_fractions: tuple = (0.7, 0.15, 0.15)
 
     def validate(self):
-        for name in ("input_dim", "hidden_dim", "latent_dim", "num_gat_layers",
-                     "num_transformer_layers", "gat_heads", "transformer_heads"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.kl_weight < 0:
-            raise ValueError("kl_weight must be >= 0")
+        """Raise a one-line ValueError naming the first setting out of range:
+        sizes, counts and learning_rate > 0; kl_weight, epochs and each split
+        fraction >= 0; split fractions summing to 1."""
+        for key in ("input_dim", "hidden_dim", "latent_dim", "num_gat_layers",
+                    "num_transformer_layers", "gat_heads", "transformer_heads",
+                    "learning_rate"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be > 0, got {getattr(self, key)!r}")
+        for key, value in [("kl_weight", self.kl_weight), ("epochs", self.epochs),
+                           *zip(SPLIT_KEYS, self.split_fractions)]:
+            if not value >= 0:
+                raise ValueError(f"{key} must be >= 0, got {value!r}")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ValueError("split fractions must sum to 1")
         return self
@@ -67,28 +78,38 @@ def _xavier(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_params(config: GaeConfig, rng: np.random.Generator) -> dict:
-    """Xavier-uniform weight matrices; attention vectors start at zero."""
-    p = {}
-    d_in = config.input_dim
-    h = config.hidden_dim
+def param_shapes(config: GaeConfig) -> dict:
+    """Name -> shape of every parameter, in ``init_params`` order."""
+    h, z = config.hidden_dim, config.latent_dim
+    shapes = {}
     for layer in range(config.num_gat_layers):
-        for head in range(config.gat_heads):
-            base = f"gat{layer}.head{head}"
-            p[f"{base}.W"] = Tensor(_xavier(rng, d_in, h), requires_grad=True)
-            p[f"{base}.a_src"] = Tensor(np.zeros((h, 1)), requires_grad=True)
-            p[f"{base}.a_dst"] = Tensor(np.zeros((h, 1)), requires_grad=True)
-        d_in = h
+        d_in = config.input_dim if layer == 0 else h
+        shapes[f"gat{layer}.W"] = (d_in, config.gat_heads * h)
+        shapes[f"gat{layer}.a_src"] = shapes[f"gat{layer}.a_dst"] = (h, config.gat_heads)
     for layer in range(config.num_transformer_layers):
-        for head in range(config.transformer_heads):
-            base = f"tr{layer}.head{head}"
-            for w in ("Wq", "Wk", "Wv"):
-                p[f"{base}.{w}"] = Tensor(_xavier(rng, h, h), requires_grad=True)
-    p["head.W_mu"] = Tensor(_xavier(rng, h, config.latent_dim), requires_grad=True)
-    p["head.W_sigma"] = Tensor(_xavier(rng, h, config.latent_dim), requires_grad=True)
-    p["dec.W1"] = Tensor(_xavier(rng, config.latent_dim, h), requires_grad=True)
-    p["dec.W2"] = Tensor(_xavier(rng, h, config.input_dim), requires_grad=True)
-    return p
+        for w in TR_PARAMS:
+            shapes[f"tr{layer}.{w}"] = (h, config.transformer_heads * h)
+    shapes.update({"head.W_mu": (h, z), "head.W_sigma": (h, z),
+                   "dec.W1": (z, h), "dec.W2": (h, config.input_dim)})
+    return shapes
+
+
+def init_params(config: GaeConfig, rng: np.random.Generator) -> dict:
+    """Xavier-uniform weight matrices, drawn one head block at a time (a
+    transformer head as q, k, v); attention vectors start at zero."""
+    h = config.hidden_dim
+    p = {name: np.zeros(shape) for name, shape in param_shapes(config).items()}
+    for layer in range(config.num_gat_layers):
+        W = p[f"gat{layer}.W"]
+        for k in range(config.gat_heads):
+            W[:, k * h:(k + 1) * h] = _xavier(rng, W.shape[0], h)
+    for layer in range(config.num_transformer_layers):
+        for k in range(config.transformer_heads):
+            for w in TR_PARAMS:
+                p[f"tr{layer}.{w}"][:, k * h:(k + 1) * h] = _xavier(rng, h, h)
+    for name in ("head.W_mu", "head.W_sigma", "dec.W1", "dec.W2"):
+        p[name] = _xavier(rng, *p[name].shape)
+    return {name: Tensor(values, requires_grad=True) for name, values in p.items()}
 
 
 def _mean_heads(outputs):
@@ -102,51 +123,43 @@ def _mean_heads(outputs):
 # layers
 
 
-def gat_layer(H: Tensor, mask: np.ndarray, head_params: list,
-              slope: float = GaeConfig.leaky_slope):
-    """One multi-head graph-attention layer.
+def gat_layer(H: Tensor, mask: np.ndarray, W: Tensor, a_src: Tensor, a_dst: Tensor):
+    """One multi-head graph-attention layer; head k reads column k of the
+    attention vectors and column block k of W.
 
     Per head: e_ij = LeakyReLU(a_src.(W x_i) + a_dst.(W x_j)), softmax over
     the (self-loop-inclusive) neighborhood, ReLU of the attention-weighted
     sum of projected neighbors. Returns (mean-over-heads output, attention
     matrices per head).
     """
+    h, heads = a_src.shape
     outs, attns = [], []
-    for hp in head_params:
-        XW = ad.matmul(H, hp["W"])
-        u = ad.matmul(XW, hp["a_src"])          # m x 1
-        v = ad.matmul(XW, hp["a_dst"])          # m x 1
-        E = ad.leaky_relu(ad.add(u, ad.transpose(v)), slope)
+    for k in range(heads):
+        XW = ad.matmul(H, ad.cols(W, k * h, (k + 1) * h))
+        u = ad.matmul(XW, ad.cols(a_src, k, k + 1))     # m x 1
+        v = ad.matmul(XW, ad.cols(a_dst, k, k + 1))     # m x 1
+        E = ad.leaky_relu(ad.add(u, ad.transpose(v)), LEAKY_SLOPE)
         A = ad.masked_neighbor_softmax(E, mask)
         outs.append(ad.relu(ad.matmul(A, XW)))
         attns.append(A)
     return _mean_heads(outs), attns
 
 
-def transformer_conv_layer(H: Tensor, mask: np.ndarray, head_params: list):
-    """Neighbor-restricted scaled dot-product attention with ELU output."""
-    d_h = head_params[0]["Wq"].shape[1]
+def transformer_conv_layer(H: Tensor, mask: np.ndarray, Wq: Tensor, Wk: Tensor,
+                           Wv: Tensor):
+    """Neighbor-restricted scaled dot-product attention with ELU output; each
+    head projects to the input width, head k from column block k."""
+    d_h = Wq.shape[0]
     scale = 1.0 / np.sqrt(d_h)
     outs, attns = [], []
-    for hp in head_params:
-        Q = ad.matmul(H, hp["Wq"])
-        K = ad.matmul(H, hp["Wk"])
-        V = ad.matmul(H, hp["Wv"])
+    for k in range(Wq.shape[1] // d_h):
+        Q, K, V = (ad.matmul(H, ad.cols(P, k * d_h, (k + 1) * d_h))
+                   for P in (Wq, Wk, Wv))
         scores = ad.scalar_mul(ad.matmul(Q, ad.transpose(K)), scale)
         A = ad.masked_neighbor_softmax(scores, mask)
         outs.append(ad.elu(ad.matmul(A, V)))
         attns.append(A)
     return _mean_heads(outs), attns
-
-
-def _gat_head_params(params, config, layer):
-    return [{k: params[f"gat{layer}.head{h}.{k}"] for k in ("W", "a_src", "a_dst")}
-            for h in range(config.gat_heads)]
-
-
-def _tr_head_params(params, config, layer):
-    return [{k: params[f"tr{layer}.head{h}.{k}"] for k in ("Wq", "Wk", "Wv")}
-            for h in range(config.transformer_heads)]
 
 
 def encode(graph: FaultGraph, params: dict, config: GaeConfig):
@@ -155,15 +168,15 @@ def encode(graph: FaultGraph, params: dict, config: GaeConfig):
         raise ValueError(
             f"graph feature dim {graph.node_features.shape[1]} does not match "
             f"config input_dim {config.input_dim}")
-    mask = graph.neighbor_mask(include_self=True)
+    mask = graph.neighbor_mask()
     H = Tensor(graph.node_features)
     attns = []
     for layer in range(config.num_gat_layers):
-        H, a = gat_layer(H, mask, _gat_head_params(params, config, layer),
-                         config.leaky_slope)
+        H, a = gat_layer(H, mask, *(params[f"gat{layer}.{k}"] for k in GAT_PARAMS))
         attns.extend(a)
     for layer in range(config.num_transformer_layers):
-        H, a = transformer_conv_layer(H, mask, _tr_head_params(params, config, layer))
+        H, a = transformer_conv_layer(H, mask,
+                                      *(params[f"tr{layer}.{k}"] for k in TR_PARAMS))
         attns.extend(a)
     mu = ad.matmul(H, params["head.W_mu"])
     logvar = ad.matmul(H, params["head.W_sigma"])
@@ -310,8 +323,6 @@ def train(graph: FaultGraph, config: GaeConfig) -> TrainedGAE:
 
 def embed(graph: FaultGraph, model: TrainedGAE) -> np.ndarray:
     """Deterministic encoder forward; returns the m x hidden_dim H2 embedding."""
-    if graph.node_features.shape[1] != model.config.input_dim:
-        raise ValueError("graph feature dimension does not match the trained config")
     _, _, H2, _ = encode(graph, model.params, model.config)
     return H2.values
 
@@ -332,15 +343,52 @@ def save_model(model: TrainedGAE, path: str) -> None:
     atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True))
 
 
+def _check_keys(path, what, doc, expected):
+    keys = set(doc) if isinstance(doc, dict) else set()
+    if keys != set(expected):
+        raise ValueError(f"{path}: {what} (unknown {sorted(keys - set(expected))[:2]}, "
+                         f"missing {sorted(set(expected) - keys)[:2]})")
+
+
+def _fits(value, default) -> bool:
+    """Whether a JSON value can stand for a GaeConfig field with this default."""
+    if isinstance(default, tuple):
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(_fits(v, 0.0) for v in value))
+    return type(value) is int or (type(value) is float and isinstance(default, float))
+
+
+def _load_param(path, name, rec, shape) -> Tensor:
+    try:
+        values = np.asarray(rec["values"], dtype=np.float64).reshape(shape)
+        ok = rec["shape"] == list(shape)
+    except (TypeError, KeyError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{path}: parameter {name} must have shape {list(shape)}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: parameter {name} holds non-finite values")
+    return Tensor(values, requires_grad=True)
+
+
 def load_model(path: str) -> TrainedGAE:
+    """Read a checkpoint; one whose config or parameters do not match
+    ``GaeConfig`` and ``param_shapes`` raises a one-line ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
-    cfg = doc["config"]
-    cfg["split_fractions"] = tuple(cfg["split_fractions"])
-    config = GaeConfig(**cfg)
-    params = {name: Tensor(np.asarray(rec["values"]).reshape(rec["shape"]),
-                           requires_grad=True)
-              for name, rec in doc["params"].items()}
+    if not isinstance(doc, dict) or not {"config", "params", "curves"} <= doc.keys():
+        raise ValueError(f"{path}: need a JSON object with config, params and curves")
+    cfg, recs = doc["config"], doc["params"]
+    defaults = asdict(GaeConfig())
+    _check_keys(path, "config keys must be GaeConfig's fields", cfg, defaults)
+    for key, default in defaults.items():
+        if not _fits(cfg[key], default):
+            raise ValueError(f"{path}: config {key} has the wrong type")
+    config = GaeConfig(**dict(cfg, split_fractions=tuple(cfg["split_fractions"])))
+    shapes = param_shapes(config.validate())
+    _check_keys(path, "parameter names must be those of the config", recs, shapes)
+    params = {name: _load_param(path, name, recs[name], shape)
+              for name, shape in shapes.items()}
     return TrainedGAE(params=params, config=config, curves=doc["curves"],
                       split={k: np.asarray(v, dtype=np.int64)
                              for k, v in doc.get("split", {}).items()},

@@ -144,15 +144,14 @@ class FaultGraph:
     def num_nodes(self) -> int:
         return self.node_features.shape[0]
 
-    def neighbor_mask(self, include_self: bool = True) -> np.ndarray:
-        """Boolean m x m adjacency mask, optionally with self-loops."""
+    def neighbor_mask(self) -> np.ndarray:
+        """Boolean m x m adjacency mask with self-loops."""
         m = self.num_nodes
         mask = np.zeros((m, m), dtype=bool)
         for i, j, _ in self.edges:
             mask[i, j] = True
             mask[j, i] = True
-        if include_self:
-            np.fill_diagonal(mask, True)
+        np.fill_diagonal(mask, True)
         return mask
 
     def degrees(self) -> np.ndarray:

@@ -17,7 +17,7 @@ from .data import (DEFAULT_BLOCK, DEFAULT_N_CLASSES, DEFAULT_REDUCER,
 from .ensemble import (DEFAULT_HYPERPARAMS, EnsembleModel, _check_hyperparams,
                        fit_ensemble, load_ensemble, save_ensemble)
 from .features import MinMaxScaler, feature_matrix, minmax_normalize
-from .gae import GaeConfig, TrainedGAE
+from .gae import SPLIT_KEYS, GaeConfig, TrainedGAE
 from .graph import (DEFAULT_PAIR_BUDGET, FaultGraph, atomic_write_text,
                     build_graph, load_graph, pairwise_distances, save_graph,
                     threshold_from_percentile)
@@ -25,11 +25,9 @@ from .segmentation import (DEFAULT_CANDIDATES, default_bin_count,
                            default_stride, segment, select_window, TimeSeries)
 
 _GAE_DEFAULTS = asdict(GaeConfig())
-_SPLIT_KEYS = ("train_frac", "val_frac", "test_frac")
 # GaeConfig fields the config sets by name: input_dim follows the feature
-# layout, leaky_slope is fixed, and split_fractions is set as _SPLIT_KEYS
-_GAE_KEYS = [k for k in _GAE_DEFAULTS
-             if k not in ("input_dim", "leaky_slope", "split_fractions")]
+# layout, and split_fractions is set as SPLIT_KEYS
+_GAE_KEYS = [k for k in _GAE_DEFAULTS if k not in ("input_dim", "split_fractions")]
 
 # A setting that another module consumes takes its default from that module.
 DEFAULT_CONFIG = {
@@ -49,7 +47,7 @@ DEFAULT_CONFIG = {
     "data_dir": ".",
     # model; its seed also seeds the ensemble
     **{k: _GAE_DEFAULTS[k] for k in _GAE_KEYS},
-    **dict(zip(_SPLIT_KEYS, _GAE_DEFAULTS["split_fractions"])),
+    **dict(zip(SPLIT_KEYS, _GAE_DEFAULTS["split_fractions"])),
     # ensemble
     **DEFAULT_HYPERPARAMS,
 }
@@ -127,7 +125,7 @@ def config_hash(cfg: dict) -> str:
 
 def gae_config_from(cfg: dict) -> GaeConfig:
     return GaeConfig(**{k: cfg[k] for k in _GAE_KEYS},
-                     split_fractions=tuple(cfg[k] for k in _SPLIT_KEYS)).validate()
+                     split_fractions=tuple(cfg[k] for k in SPLIT_KEYS)).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -95,9 +95,11 @@ class TestForwardValues:
         with pytest.raises(ad.DomainError):
             ad.masked_neighbor_softmax(t([[1.0, 2.0]]), mask)
 
-    def test_concat_cols(self):
-        out = ad.concat_cols([t([[1.0], [2.0]]), t([[3.0, 4.0], [5.0, 6.0]])])
-        np.testing.assert_array_equal(out.values, [[1, 3, 4], [2, 5, 6]])
+    def test_cols(self):
+        out = ad.cols(t([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), 1, 3)
+        np.testing.assert_array_equal(out.values, [[2, 3], [5, 6]])
+        with pytest.raises(ad.ShapeError):
+            ad.cols(t(np.zeros((2, 3))), 2, 4)
 
     def test_sum_mean(self):
         x = t([[1.0, 2.0], [3.0, 4.0]])
@@ -138,6 +140,12 @@ class TestBackward:
         y = ad.add(ad.square(x), ad.square(x))   # 2x^2, dy/dx = 4x
         ad.backward(ad.tsum(y))
         np.testing.assert_allclose(x.grad, [[8.0]])
+
+    def test_cols_gradient_fills_its_columns_only(self):
+        x = t(np.ones((2, 4)), rg=True)
+        y = ad.add(ad.cols(x, 0, 2), ad.scalar_mul(ad.cols(x, 1, 3), 3.0))
+        ad.backward(ad.tsum(y))
+        np.testing.assert_array_equal(x.grad, [[1, 4, 3, 0], [1, 4, 3, 0]])
 
     def test_backward_needs_scalar(self):
         x = t(np.ones((2, 2)), rg=True)

@@ -135,6 +135,23 @@ class TestTrain:
         assert rc == cli.EXIT_VALIDATION
         assert err == "error: cv_folds must be >= 2, got 0\n"
 
+    def test_bad_gae_setting_fails_before_training(self, workspace, built, tmp_path,
+                                                   capsys, monkeypatch):
+        config = tmp_path / "bad.toml"
+        config.write_text(FAST_CONFIG
+                          + f'data_dir = "{workspace["data_dir"]}"\n'
+                          + "learning_rate = -1.0\n")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("the GAE trained on an invalid config")
+
+        monkeypatch.setattr(gae, "train", no_training)
+        rc = cli.main(["train", "--config", str(config), "--graph", built["graph"],
+                       "--out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_VALIDATION
+        assert err == "error: learning_rate must be > 0, got -1.0\n"
+
 
 class TestEvaluate:
     def test_report_written(self, workspace, built, tmp_path):
@@ -158,6 +175,62 @@ class TestEvaluate:
                        "--model", str(model), "--graph", built["graph"],
                        "--out", str(tmp_path / "report.json")])
         assert rc == cli.EXIT_VALIDATION
+
+
+def per_head_layout(doc):
+    """The checkpoint layout that stored every attention head under its own name."""
+    h, params = doc["config"]["hidden_dim"], {}
+    for name, rec in doc["params"].items():
+        layer, kind = name.split(".")
+        if not layer.startswith(("gat", "tr")):
+            params[name] = rec
+            continue
+        values = np.asarray(rec["values"]).reshape(rec["shape"])
+        width = 1 if kind.startswith("a_") else h
+        for k in range(values.shape[1] // width):
+            block = values[:, k * width:(k + 1) * width]
+            params[f"{layer}.head{k}.{kind}"] = {"shape": list(block.shape),
+                                                 "values": block.ravel().tolist()}
+    doc["params"] = params
+
+
+def transposed_weight(doc):
+    rec = doc["params"]["gat0.W"]
+    rec["shape"] = rec["shape"][::-1]
+
+
+def nan_weight(doc):
+    doc["params"]["dec.W2"]["values"][0] = float("nan")
+
+
+class TestModelFile:
+    """A model.json that does not fit its own config exits 2 with one line."""
+
+    @pytest.mark.parametrize("mutate, message", [
+        (per_head_layout, "parameter names must be those of the config (unknown "
+                          "['gat0.head0.W', 'gat0.head0.a_dst'], missing ['gat0.W', "
+                          "'gat0.a_dst'])"),
+        (lambda doc: doc["config"].update(leaky_slope=0.2),
+         "config keys must be GaeConfig's fields (unknown ['leaky_slope'], missing [])"),
+        (lambda doc: doc["config"].update(gat_heads=2.0), "config gat_heads has the wrong type"),
+        (transposed_weight, "parameter gat0.W must have shape"),
+        (nan_weight, "parameter dec.W2 holds non-finite values"),
+    ], ids=["per_head_layout", "unknown_config_key", "float_head_count",
+            "wrong_shape", "nan_value"])
+    def test_mismatched_model_is_validation_error(self, workspace, built, tmp_path,
+                                                  capsys, mutate, message):
+        model = tmp_path / "model"
+        shutil.copytree(built["model"], model)
+        doc = json.loads((model / "model.json").read_text())
+        mutate(doc)
+        (model / "model.json").write_text(json.dumps(doc))
+        rc = cli.main(["evaluate", "--config", workspace["config"],
+                       "--model", str(model), "--graph", built["graph"],
+                       "--out", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_VALIDATION
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 class TestCrossEval:

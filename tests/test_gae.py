@@ -31,6 +31,47 @@ def ring_graph(m=12, dim=4, n_classes=3, seed=0):
     return FaultGraph(node_features=X, node_labels=labels, edges=edges)
 
 
+def masked_softmax(S, mask):
+    """Row softmax over the True entries of ``mask``; 0 elsewhere."""
+    Sz = np.where(mask, S, -np.inf)
+    Sz -= Sz.max(axis=1, keepdims=True)
+    A = np.where(mask, np.exp(Sz), 0.0)
+    return A / A.sum(axis=1, keepdims=True)
+
+
+def numpy_gat(X, mask, W, a_src, a_dst):
+    """GAT recomputed one head (column block) at a time; returns the
+    mean-over-heads output and the per-head attention matrices."""
+    heads = a_src.shape[1]
+    h = W.shape[1] // heads
+    outs, attns = [], []
+    for k in range(heads):
+        XW = X @ W[:, k * h:(k + 1) * h]
+        E = (XW @ a_src[:, [k]]) + (XW @ a_dst[:, [k]]).T
+        A = masked_softmax(np.where(E > 0, E, 0.2 * E), mask)
+        outs.append(np.maximum(A @ XW, 0.0))
+        attns.append(A)
+    return np.mean(outs, axis=0), attns
+
+
+def numpy_transformer(X, mask, Wq, Wk, Wv):
+    """TransformerConv recomputed one head (column block) at a time; returns
+    the mean-over-heads output and the per-head attention matrices."""
+    h = Wq.shape[0]
+    outs, attns = [], []
+    for k in range(Wq.shape[1] // h):
+        Q, K, V = (X @ P[:, k * h:(k + 1) * h] for P in (Wq, Wk, Wv))
+        A = masked_softmax((Q @ K.T) / np.sqrt(h), mask)
+        H = A @ V
+        outs.append(np.where(H > 0, H, np.exp(np.minimum(H, 0)) - 1.0))
+        attns.append(A)
+    return np.mean(outs, axis=0), attns
+
+
+def gat_params(p, layer=0):
+    return [p[f"gat{layer}.{k}"] for k in gae.GAT_PARAMS]
+
+
 class TestConfig:
     def test_defaults_match_architecture(self):
         c = gae.GaeConfig()
@@ -47,24 +88,58 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(split_fractions=(0.5, 0.2, 0.2)).validate()
 
+    @pytest.mark.parametrize("setting, message", [
+        (dict(learning_rate=-1.0), "learning_rate must be > 0, got -1.0"),
+        (dict(learning_rate=0.0), "learning_rate must be > 0, got 0.0"),
+        (dict(epochs=-1), "epochs must be >= 0, got -1"),
+        (dict(split_fractions=(1.2, -0.1, -0.1)), "val_frac must be >= 0, got -0.1"),
+    ])
+    def test_out_of_range_named(self, setting, message):
+        with pytest.raises(ValueError) as exc:
+            small_config(**setting).validate()
+        assert str(exc.value) == message
+
 
 class TestInitParams:
     def test_parameter_inventory(self):
         c = small_config()
         p = gae.init_params(c, np.random.default_rng(0))
-        expect = c.num_gat_layers * c.gat_heads * 3 \
-            + c.num_transformer_layers * c.transformer_heads * 3 + 4
-        assert len(p) == expect
-        assert p["gat0.head0.W"].shape == (4, 6)
-        assert p["tr0.head1.Wq"].shape == (6, 6)
+        assert len(p) == c.num_gat_layers * 3 + c.num_transformer_layers * 3 + 4
+        assert p["gat0.W"].shape == (4, 2 * 6)
+        assert p["gat0.a_src"].shape == (6, 2)
+        assert p["tr0.Wq"].shape == (6, 2 * 6)
         assert p["head.W_mu"].shape == (6, 3)
         assert p["dec.W1"].shape == (3, 6)
         assert all(t.requires_grad for t in p.values())
+        assert {k: t.shape for k, t in p.items()} == gae.param_shapes(c)
+        assert len(gae.init_params(gae.GaeConfig(), np.random.default_rng(0))) == 19
 
     def test_attention_vectors_start_zero(self):
         p = gae.init_params(small_config(), np.random.default_rng(0))
-        assert not p["gat0.head0.a_src"].values.any()
-        assert not p["gat0.head1.a_dst"].values.any()
+        assert not p["gat0.a_src"].values.any()
+        assert not p["gat0.a_dst"].values.any()
+
+    def test_head_blocks_follow_the_per_head_draw_order(self):
+        # GAT heads in turn, then per transformer head q, k, v, then the rest
+        c = small_config(num_gat_layers=2, num_transformer_layers=2,
+                         gat_heads=3, transformer_heads=3)
+        p = gae.init_params(c, np.random.default_rng(42))
+        rng = np.random.default_rng(42)
+        h = c.hidden_dim
+        for layer in range(2):
+            d_in = c.input_dim if layer == 0 else h
+            for k in range(3):
+                np.testing.assert_array_equal(p[f"gat{layer}.W"].values[:, k * h:(k + 1) * h],
+                                              gae._xavier(rng, d_in, h))
+        for layer in range(2):
+            for k in range(3):
+                for w in ("Wq", "Wk", "Wv"):
+                    np.testing.assert_array_equal(
+                        p[f"tr{layer}.{w}"].values[:, k * h:(k + 1) * h],
+                        gae._xavier(rng, h, h))
+        for name, shape in [("head.W_mu", (h, 3)), ("head.W_sigma", (h, 3)),
+                            ("dec.W1", (3, h)), ("dec.W2", (h, 4))]:
+            np.testing.assert_array_equal(p[name].values, gae._xavier(rng, *shape))
 
 
 class TestGatLayer:
@@ -74,8 +149,8 @@ class TestGatLayer:
         c = small_config()
         p = gae.init_params(c, np.random.default_rng(1))
         mask = g.neighbor_mask()
-        out, attns = gae.gat_layer(Tensor(g.node_features), mask,
-                                   gae._gat_head_params(p, c, 0))
+        out, attns = gae.gat_layer(Tensor(g.node_features), mask, *gat_params(p))
+        assert len(attns) == c.gat_heads
         for A in attns:
             expect = mask / mask.sum(axis=1, keepdims=True)
             np.testing.assert_allclose(A.values, expect, atol=1e-12)
@@ -84,28 +159,23 @@ class TestGatLayer:
         rng = np.random.default_rng(2)
         g = ring_graph(m=8)
         mask = g.neighbor_mask()
-        W = rng.normal(size=(4, 6))
-        a_src = rng.normal(size=(6, 1))
-        a_dst = rng.normal(size=(6, 1))
-        hp = [{"W": Tensor(W), "a_src": Tensor(a_src), "a_dst": Tensor(a_dst)}]
-        out, attns = gae.gat_layer(Tensor(g.node_features), mask, hp, slope=0.2)
-
-        XW = g.node_features @ W
-        E = (XW @ a_src) + (XW @ a_dst).T
-        E = np.where(E > 0, E, 0.2 * E)
-        Ez = np.where(mask, E, -np.inf)
-        Ez -= Ez.max(axis=1, keepdims=True)
-        A = np.where(mask, np.exp(Ez), 0.0)
-        A /= A.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(attns[0].values, A, atol=1e-12)
-        np.testing.assert_allclose(out.values, np.maximum(A @ XW, 0.0), atol=1e-12)
+        for heads in (1, 3):
+            W, a_src, a_dst = (rng.normal(size=s)
+                               for s in ((4, 6 * heads), (6, heads), (6, heads)))
+            out, attns = gae.gat_layer(Tensor(g.node_features), mask,
+                                       Tensor(W), Tensor(a_src), Tensor(a_dst))
+            expect, expect_attns = numpy_gat(g.node_features, mask, W, a_src, a_dst)
+            assert len(attns) == heads
+            for A, B in zip(attns, expect_attns):
+                np.testing.assert_allclose(A.values, B, atol=1e-12)
+            np.testing.assert_allclose(out.values, expect, atol=1e-12)
 
     def test_rows_sum_to_one(self):
         g = ring_graph()
         c = small_config()
         p = gae.init_params(c, np.random.default_rng(3))
         _, attns = gae.gat_layer(Tensor(g.node_features), g.neighbor_mask(),
-                                 gae._gat_head_params(p, c, 0))
+                                 *gat_params(p))
         for A in attns:
             np.testing.assert_allclose(A.values.sum(axis=1), 1.0, atol=1e-12)
 
@@ -115,20 +185,15 @@ class TestTransformerLayer:
         rng = np.random.default_rng(4)
         g = ring_graph(m=8, dim=6)
         mask = g.neighbor_mask()
-        Wq, Wk, Wv = (rng.normal(size=(6, 6)) for _ in range(3))
-        hp = [{"Wq": Tensor(Wq), "Wk": Tensor(Wk), "Wv": Tensor(Wv)}]
-        out, attns = gae.transformer_conv_layer(Tensor(g.node_features), mask, hp)
-
-        Q, K, V = g.node_features @ Wq, g.node_features @ Wk, g.node_features @ Wv
-        S = (Q @ K.T) / np.sqrt(6)
-        Sz = np.where(mask, S, -np.inf)
-        Sz -= Sz.max(axis=1, keepdims=True)
-        A = np.where(mask, np.exp(Sz), 0.0)
-        A /= A.sum(axis=1, keepdims=True)
-        H = A @ V
-        expect = np.where(H > 0, H, np.exp(np.minimum(H, 0)) - 1.0)
-        np.testing.assert_allclose(attns[0].values, A, atol=1e-12)
-        np.testing.assert_allclose(out.values, expect, atol=1e-12)
+        for heads in (1, 3):
+            Wq, Wk, Wv = (rng.normal(size=(6, 6 * heads)) for _ in range(3))
+            out, attns = gae.transformer_conv_layer(Tensor(g.node_features), mask,
+                                                    Tensor(Wq), Tensor(Wk), Tensor(Wv))
+            expect, expect_attns = numpy_transformer(g.node_features, mask, Wq, Wk, Wv)
+            assert len(attns) == heads
+            for A, B in zip(attns, expect_attns):
+                np.testing.assert_allclose(A.values, B, atol=1e-12)
+            np.testing.assert_allclose(out.values, expect, atol=1e-12)
 
 
 class TestEncodeDecode:

@@ -189,9 +189,11 @@ class TestBuildGraph:
     def test_neighbor_mask_self_loops(self):
         s, X, y = self.three_cluster_fixture()
         g = gr.build_graph(s, X, y, theta=1.0)
-        mask = g.neighbor_mask(include_self=True)
+        mask = g.neighbor_mask()
         assert mask.diagonal().all()
-        assert not g.neighbor_mask(include_self=False).diagonal().any()
+        off_diagonal = {(i, j) for i, j in zip(*np.nonzero(mask)) if i < j}
+        assert off_diagonal == {(i, j) for i, j, _ in g.edges}
+        assert (mask == mask.T).all()
 
     def test_edges_sorted_i_less_j(self):
         s, X, y = self.three_cluster_fixture()
