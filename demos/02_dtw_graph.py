@@ -26,9 +26,6 @@ weights = np.array([w for _, _, w in graph.edges])
 print(f"edge weights 1/(1+D): min={weights.min():.3f} "
       f"median={np.median(weights):.3f} max={weights.max():.3f}")
 
-degrees = np.zeros(graph.num_nodes, dtype=int)
-for i, j, _ in graph.edges:
-    degrees[i] += 1
-    degrees[j] += 1
+degrees = graph.degrees()
 print(f"degree: min={degrees.min()} mean={degrees.mean():.1f} "
       f"max={degrees.max()}  (isolated nodes get a nearest-neighbor edge)")

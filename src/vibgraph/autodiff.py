@@ -8,6 +8,7 @@ reverse topological order and accumulates gradients additively.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 
 class ShapeError(ValueError):
@@ -25,9 +26,7 @@ class Tensor:
 
     def __init__(self, values, requires_grad=False):
         arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
+        if arr.ndim < 2:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2:
             raise ShapeError(f"Tensor must be 2-D, got shape {arr.shape}")
@@ -40,9 +39,6 @@ class Tensor:
     @property
     def shape(self):
         return self.values.shape
-
-    def zero_grad(self):
-        self.grad = None
 
     def item(self):
         if self.values.size != 1:
@@ -58,9 +54,6 @@ class Tape:
 
     def __init__(self):
         self.ops = []   # list of (kind, input tensors, output tensor)
-
-    def record(self, kind, inputs, output):
-        self.ops.append((kind, tuple(inputs), output))
 
     def __enter__(self):
         global _ACTIVE_TAPE
@@ -79,12 +72,11 @@ _ACTIVE_TAPE = None
 
 def _make(kind, values, parents):
     out = Tensor(values)
-    track = any(p.requires_grad or p._parents for p, _ in parents)
-    if track:
+    if any(p.requires_grad or p._parents for p, _ in parents):
         out._parents = tuple(parents)
     out._op = kind
     if _ACTIVE_TAPE is not None:
-        _ACTIVE_TAPE.record(kind, [p for p, _ in parents], out)
+        _ACTIVE_TAPE.ops.append((kind, tuple(p for p, _ in parents), out))
     return out
 
 
@@ -92,17 +84,20 @@ def _shapes(kind, *tensors):
     return f"op '{kind}' got shapes " + " and ".join(str(t.shape) for t in tensors)
 
 
+def _check(kind, ok, *tensors):
+    if not ok:
+        raise ShapeError(_shapes(kind, *tensors))
+
+
 # ---------------------------------------------------------------------------
 # forward ops
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(_shapes("matmul", a, b))
-    out = _make("matmul", a.values @ b.values,
-                [(a, lambda g: g @ b.values.T),
-                 (b, lambda g: a.values.T @ g)])
-    return out
+    _check("matmul", a.shape[1] == b.shape[0], a, b)
+    return _make("matmul", a.values @ b.values,
+                 [(a, lambda g: g @ b.values.T),
+                  (b, lambda g: a.values.T @ g)])
 
 
 def _broadcast_vjp(t, g):
@@ -115,31 +110,25 @@ def _broadcast_vjp(t, g):
 
 
 def _broadcastable(a, b):
-    for da, db in zip(a.shape, b.shape):
-        if da != db and da != 1 and db != 1:
-            return False
-    return True
+    return all(da == db or 1 in (da, db) for da, db in zip(a.shape, b.shape))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if not _broadcastable(a, b):
-        raise ShapeError(_shapes("add", a, b))
+    _check("add", _broadcastable(a, b), a, b)
     return _make("add", a.values + b.values,
                  [(a, lambda g: _broadcast_vjp(a, g)),
                   (b, lambda g: _broadcast_vjp(b, g))])
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    if not _broadcastable(a, b):
-        raise ShapeError(_shapes("sub", a, b))
+    _check("sub", _broadcastable(a, b), a, b)
     return _make("sub", a.values - b.values,
                  [(a, lambda g: _broadcast_vjp(a, g)),
                   (b, lambda g: -_broadcast_vjp(b, g))])
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    if not _broadcastable(a, b):
-        raise ShapeError(_shapes("mul", a, b))
+    _check("mul", _broadcastable(a, b), a, b)
     return _make("mul", a.values * b.values,
                  [(a, lambda g: _broadcast_vjp(a, g * b.values)),
                   (b, lambda g: _broadcast_vjp(b, g * a.values))])
@@ -197,51 +186,85 @@ def row_softmax(a: Tensor) -> Tensor:
                  [(a, lambda g: s * (g - (g * s).sum(axis=1, keepdims=True)))])
 
 
-def masked_neighbor_softmax(a: Tensor, mask: np.ndarray) -> Tensor:
-    """Row softmax restricted to entries where ``mask`` is True.
-
-    Masked entries get probability exactly 0. Every row must have at least
-    one unmasked entry.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != a.shape:
-        raise ShapeError(f"op 'masked_neighbor_softmax' got shapes {a.shape} and mask {mask.shape}")
-    if not mask.any(axis=1).all():
-        raise DomainError("masked_neighbor_softmax: a row has no unmasked entries")
-    z = np.where(mask, a.values, -np.inf)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.where(mask, np.exp(z), 0.0)
-    s = e / e.sum(axis=1, keepdims=True)
-    return _make("masked_neighbor_softmax", s,
-                 [(a, lambda g: s * (g - (g * s).sum(axis=1, keepdims=True)))])
-
-
-def cols(a: Tensor, lo: int, hi: int) -> Tensor:
-    """Columns ``lo:hi`` of ``a``; the gradient lands in those columns only."""
-    if not 0 <= lo < hi <= a.shape[1]:
-        raise ShapeError(f"op 'cols' got columns {lo}:{hi} of shape {a.shape}")
-
-    def vjp(g):
-        full = np.zeros(a.shape)
-        full[:, lo:hi] = g
-        return full
-
-    return _make("cols", a.values[:, lo:hi].copy(), [(a, vjp)])
-
-
 def tsum(a: Tensor) -> Tensor:
     return _make("sum", np.array([[a.values.sum()]]),
                  [(a, lambda g: np.full(a.shape, g[0, 0]))])
 
 
-def tmean(a: Tensor) -> Tensor:
-    n = a.values.size
-    return _make("mean", np.array([[a.values.mean()]]),
-                 [(a, lambda g: np.full(a.shape, g[0, 0] / n))])
+# ---------------------------------------------------------------------------
+# edge ops over a CSR neighbourhood view ``nbrs`` (``graph.Neighbors``): edge
+# tensors hold one row per entry and one column per head, node tensors hold
+# head k in column block k
 
 
-def transpose(a: Tensor) -> Tensor:
-    return _make("transpose", a.values.T.copy(), [(a, lambda g: g.T)])
+def row_sum(x: np.ndarray, nbrs) -> np.ndarray:
+    """Sum over each row's entries of an array with one row per entry."""
+    return np.add.reduceat(x, nbrs.indptr[:-1], axis=0)
+
+
+def _spmm(A: np.ndarray, X: np.ndarray, nbrs) -> np.ndarray:
+    m = len(nbrs.indptr) - 1
+    return np.hstack([csr_matrix((A[:, k], nbrs.cols, nbrs.indptr), shape=(m, m)) @ Xk
+                      for k, Xk in enumerate(np.split(X, A.shape[1], axis=1))])
+
+
+def _sddmm(P: np.ndarray, Q: np.ndarray, nbrs, heads: int) -> np.ndarray:
+    return np.stack([(Pk @ Qk.T)[nbrs.rows, nbrs.cols] for Pk, Qk
+                     in zip(np.split(P, heads, axis=1), np.split(Q, heads, axis=1))], axis=1)
+
+
+def head_dot(X: Tensor, a: Tensor) -> Tensor:
+    """Per-head dot product: out[i, k] = X[i, block k] . a[:, k]."""
+    h, heads = a.shape
+    _check("head_dot", X.shape[1] == h * heads, X, a)
+    X3 = X.values.reshape(-1, heads, h)
+    return _make("head_dot", np.einsum("ikh,hk->ik", X3, a.values),
+                 [(X, lambda g: (g[:, :, None] * a.values.T).reshape(X.shape)),
+                  (a, lambda g: np.einsum("ikh,ik->hk", X3, g))])
+
+
+def edge_sum(u: Tensor, v: Tensor, nbrs) -> Tensor:
+    """out[e] = u[rows[e]] + v[cols[e]]."""
+    _check("edge_sum", u.shape == v.shape and len(u.values) == len(nbrs.indptr) - 1, u, v)
+    return _make("edge_sum", u.values[nbrs.rows] + v.values[nbrs.cols],
+                 [(u, lambda g: row_sum(g, nbrs)),
+                  (v, lambda g: row_sum(g[nbrs.perm], nbrs))])
+
+
+def edge_softmax(E: Tensor, nbrs) -> Tensor:
+    """Softmax of each column of ``E`` over each row's entries."""
+    _check("edge_softmax", len(E.values) == len(nbrs.rows), E)
+    e = np.exp(E.values - np.maximum.reduceat(E.values, nbrs.indptr[:-1])[nbrs.rows])
+    s = e / row_sum(e, nbrs)[nbrs.rows]
+    return _make("edge_softmax", s,
+                 [(E, lambda g: s * (g - row_sum(g * s, nbrs)[nbrs.rows]))])
+
+
+def spmm(A: Tensor, X: Tensor, nbrs) -> Tensor:
+    """out[i, block k] = sum of A[e, k] * X[cols[e], block k] over row i's entries e."""
+    heads = A.shape[1]
+    _check("spmm", len(A.values) == len(nbrs.rows) and len(X.values) == len(nbrs.indptr) - 1,
+           A, X)
+    # the pattern is symmetric, so A transposed is A[perm] on the same pattern
+    return _make("spmm", _spmm(A.values, X.values, nbrs),
+                 [(A, lambda g: _sddmm(g, X.values, nbrs, heads)),
+                  (X, lambda g: _spmm(A.values[nbrs.perm], g, nbrs))])
+
+
+def sddmm(P: Tensor, Q: Tensor, nbrs, heads: int) -> Tensor:
+    """out[e, k] = P[rows[e], block k] . Q[cols[e], block k], read off P_k Q_k^T."""
+    _check("sddmm", P.shape == Q.shape and len(P.values) == len(nbrs.indptr) - 1
+           and P.shape[1] % heads == 0, P, Q)
+    return _make("sddmm", _sddmm(P.values, Q.values, nbrs, heads),
+                 [(P, lambda g: _spmm(g, Q.values, nbrs)),
+                  (Q, lambda g: _spmm(g[nbrs.perm], P.values, nbrs))])
+
+
+def head_mean(X: Tensor, heads: int) -> Tensor:
+    """Average of the column blocks of ``X``, one per head."""
+    _check("head_mean", X.shape[1] % heads == 0, X)
+    return _make("head_mean", X.values.reshape(len(X.values), heads, -1).mean(axis=1),
+                 [(X, lambda g: np.tile(g / heads, heads))])
 
 
 # ---------------------------------------------------------------------------
@@ -292,24 +315,23 @@ def grad_check(f, x: Tensor, h: float = 1e-5) -> float:
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    x.zero_grad()
+    x.grad = None
     loss = f(x)
     backward(loss)
     analytic = x.grad if x.grad is not None else np.zeros(x.shape)
 
     numeric = np.zeros(x.shape)
     base = x.values.copy()
-    for i in range(x.shape[0]):
-        for j in range(x.shape[1]):
-            x.values = base.copy()
-            x.values[i, j] += h
-            up = f(x).item()
-            x.values = base.copy()
-            x.values[i, j] -= h
-            dn = f(x).item()
-            if not (np.isfinite(up) and np.isfinite(dn)):
-                raise DomainError("function non-finite at perturbed point")
-            numeric[i, j] = (up - dn) / (2.0 * h)
+    for ij in np.ndindex(x.shape):
+        x.values = base.copy()
+        x.values[ij] += h
+        up = f(x).item()
+        x.values = base.copy()
+        x.values[ij] -= h
+        dn = f(x).item()
+        if not (np.isfinite(up) and np.isfinite(dn)):
+            raise DomainError("function non-finite at perturbed point")
+        numeric[ij] = (up - dn) / (2.0 * h)
     x.values = base
 
     denom = np.maximum(1.0, np.abs(analytic))

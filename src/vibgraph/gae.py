@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .features import FEATURE_DIM
-from .graph import FaultGraph, atomic_write_text
+from .graph import FaultGraph, Neighbors, atomic_write_text
 
 LEAKY_SLOPE = 0.2       # negative slope of the GAT attention-score LeakyReLU
 SPLIT_KEYS = ("train_frac", "val_frac", "test_frac")   # config names of split_fractions
@@ -112,72 +112,53 @@ def init_params(config: GaeConfig, rng: np.random.Generator) -> dict:
     return {name: Tensor(values, requires_grad=True) for name, values in p.items()}
 
 
-def _mean_heads(outputs):
-    acc = outputs[0]
-    for t in outputs[1:]:
-        acc = ad.add(acc, t)
-    return ad.scalar_mul(acc, 1.0 / len(outputs))
-
-
 # ---------------------------------------------------------------------------
 # layers
 
 
-def gat_layer(H: Tensor, mask: np.ndarray, W: Tensor, a_src: Tensor, a_dst: Tensor):
-    """One multi-head graph-attention layer; head k reads column k of the
-    attention vectors and column block k of W.
+def gat_layer(H: Tensor, nbrs: Neighbors, W: Tensor, a_src: Tensor, a_dst: Tensor):
+    """One multi-head graph-attention layer over the entries of ``nbrs``;
+    head k reads column k of the attention vectors and column block k of W.
 
     Per head: e_ij = LeakyReLU(a_src.(W x_i) + a_dst.(W x_j)), softmax over
     the (self-loop-inclusive) neighborhood, ReLU of the attention-weighted
     sum of projected neighbors. Returns (mean-over-heads output, attention
-    matrices per head).
+    with one row per entry and one column per head).
     """
-    h, heads = a_src.shape
-    outs, attns = [], []
-    for k in range(heads):
-        XW = ad.matmul(H, ad.cols(W, k * h, (k + 1) * h))
-        u = ad.matmul(XW, ad.cols(a_src, k, k + 1))     # m x 1
-        v = ad.matmul(XW, ad.cols(a_dst, k, k + 1))     # m x 1
-        E = ad.leaky_relu(ad.add(u, ad.transpose(v)), LEAKY_SLOPE)
-        A = ad.masked_neighbor_softmax(E, mask)
-        outs.append(ad.relu(ad.matmul(A, XW)))
-        attns.append(A)
-    return _mean_heads(outs), attns
+    XW = ad.matmul(H, W)
+    E = ad.edge_sum(ad.head_dot(XW, a_src), ad.head_dot(XW, a_dst), nbrs)
+    A = ad.edge_softmax(ad.leaky_relu(E, LEAKY_SLOPE), nbrs)
+    return ad.head_mean(ad.relu(ad.spmm(A, XW, nbrs)), A.shape[1]), A
 
 
-def transformer_conv_layer(H: Tensor, mask: np.ndarray, Wq: Tensor, Wk: Tensor,
+def transformer_conv_layer(H: Tensor, nbrs: Neighbors, Wq: Tensor, Wk: Tensor,
                            Wv: Tensor):
     """Neighbor-restricted scaled dot-product attention with ELU output; each
     head projects to the input width, head k from column block k."""
     d_h = Wq.shape[0]
-    scale = 1.0 / np.sqrt(d_h)
-    outs, attns = [], []
-    for k in range(Wq.shape[1] // d_h):
-        Q, K, V = (ad.matmul(H, ad.cols(P, k * d_h, (k + 1) * d_h))
-                   for P in (Wq, Wk, Wv))
-        scores = ad.scalar_mul(ad.matmul(Q, ad.transpose(K)), scale)
-        A = ad.masked_neighbor_softmax(scores, mask)
-        outs.append(ad.elu(ad.matmul(A, V)))
-        attns.append(A)
-    return _mean_heads(outs), attns
+    heads = Wq.shape[1] // d_h
+    Q, K, V = (ad.matmul(H, P) for P in (Wq, Wk, Wv))
+    scores = ad.scalar_mul(ad.sddmm(Q, K, nbrs, heads), 1.0 / np.sqrt(d_h))
+    A = ad.edge_softmax(scores, nbrs)
+    return ad.head_mean(ad.elu(ad.spmm(A, V, nbrs)), heads), A
 
 
 def encode(graph: FaultGraph, params: dict, config: GaeConfig):
-    """Run the encoder stack; returns (mu, logvar, H2, attention matrices)."""
+    """Run the encoder stack; returns (mu, logvar, H2, per-layer attention)."""
     if graph.node_features.shape[1] != config.input_dim:
         raise ValueError(
             f"graph feature dim {graph.node_features.shape[1]} does not match "
             f"config input_dim {config.input_dim}")
-    mask = graph.neighbor_mask()
+    nbrs = graph.neighbors()
     H = Tensor(graph.node_features)
     attns = []
     for layer in range(config.num_gat_layers):
-        H, a = gat_layer(H, mask, *(params[f"gat{layer}.{k}"] for k in GAT_PARAMS))
-        attns.extend(a)
+        H, A = gat_layer(H, nbrs, *(params[f"gat{layer}.{k}"] for k in GAT_PARAMS))
+        attns.append(A)
     for layer in range(config.num_transformer_layers):
-        H, a = transformer_conv_layer(H, mask,
+        H, A = transformer_conv_layer(H, nbrs,
                                       *(params[f"tr{layer}.{k}"] for k in TR_PARAMS))
-        attns.extend(a)
+        attns.append(A)
     mu = ad.matmul(H, params["head.W_mu"])
     logvar = ad.matmul(H, params["head.W_sigma"])
     return mu, logvar, H, attns
@@ -263,9 +244,7 @@ def stratified_split(labels, fractions, rng: np.random.Generator):
         test.extend(idx[n_tr + n_va:])
         if n_tr == 0:
             raise ValueError(f"class {cls} absent from the training split")
-    return (np.sort(np.array(train, dtype=np.int64)),
-            np.sort(np.array(val, dtype=np.int64)),
-            np.sort(np.array(test, dtype=np.int64)))
+    return tuple(np.sort(np.array(idx, dtype=np.int64)) for idx in (train, val, test))
 
 
 def _rec_loss_rows(X, X_hat, rows):
@@ -300,15 +279,13 @@ def train(graph: FaultGraph, config: GaeConfig) -> TrainedGAE:
         out = forward_loss(graph, params, config, eps, row_mask)
 
         for A in out["attns"]:
-            # row sums restricted to the unmasked neighborhood must be 1
-            max_attn_dev = max(max_attn_dev,
-                               float(np.abs(A.values.sum(axis=1) - 1.0).max()))
+            # each head's attention over each neighborhood must sum to 1
+            dev = np.abs(ad.row_sum(A.values, graph.neighbors()) - 1.0).max()
+            max_attn_dev = max(max_attn_dev, float(dev))
         min_kl = min(min_kl, out["L_KL"].item())
 
-        X_hat = out["X_hat"].values
-        curves["train"].append(_rec_loss_rows(X, X_hat, tr_idx))
-        curves["val"].append(_rec_loss_rows(X, X_hat, va_idx))
-        curves["test"].append(_rec_loss_rows(X, X_hat, te_idx))
+        for name, rows in zip(curves, (tr_idx, va_idx, te_idx)):
+            curves[name].append(_rec_loss_rows(X, out["X_hat"].values, rows))
 
         ad.backward(out["L"])
         ad.adam_step(opt)
@@ -389,9 +366,13 @@ def load_model(path: str) -> TrainedGAE:
     _check_keys(path, "parameter names must be those of the config", recs, shapes)
     params = {name: _load_param(path, name, recs[name], shape)
               for name, shape in shapes.items()}
+    split = doc.get("split", {})
+    if not (isinstance(split, dict) and split.keys() <= {"train", "val", "test"} and all(
+            isinstance(v, list) and all(type(i) is int and i >= 0 for i in v)
+            for v in split.values())):
+        raise ValueError(f"{path}: split must map train/val/test to lists of integers >= 0")
     return TrainedGAE(params=params, config=config, curves=doc["curves"],
-                      split={k: np.asarray(v, dtype=np.int64)
-                             for k, v in doc.get("split", {}).items()},
+                      split={k: np.asarray(v, dtype=np.int64) for k, v in split.items()},
                       diagnostics=doc.get("diagnostics", {}))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +32,9 @@ def dtw_distance(a, b) -> float:
     return float(D[n, m])
 
 
-def similarity(distance: float) -> float:
-    """Edge weight 1/(1 + D), strictly decreasing in D, range (0, 1]."""
-    if distance < 0:
+def similarity(distance):
+    """Edge weight 1/(1 + D), elementwise, strictly decreasing in D, range (0, 1]."""
+    if np.any(np.asarray(distance) < 0):
         raise ValueError("distance must be non-negative")
     return 1.0 / (1.0 + distance)
 
@@ -127,6 +128,9 @@ def threshold_from_percentile(distances, pct: float) -> float:
     return float(np.percentile(arr, pct))
 
 
+Neighbors = namedtuple("Neighbors", "indptr rows cols perm")
+
+
 @dataclass
 class FaultGraph:
     """Weighted similarity graph over segments.
@@ -139,27 +143,29 @@ class FaultGraph:
     node_labels: np.ndarray
     edges: list
     meta: dict = field(default_factory=dict)
+    _neighbors: Neighbors | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:
         return self.node_features.shape[0]
 
-    def neighbor_mask(self) -> np.ndarray:
-        """Boolean m x m adjacency mask with self-loops."""
-        m = self.num_nodes
-        mask = np.zeros((m, m), dtype=bool)
-        for i, j, _ in self.edges:
-            mask[i, j] = True
-            mask[j, i] = True
-        np.fill_diagonal(mask, True)
-        return mask
+    def neighbors(self) -> Neighbors:
+        """CSR view of ``edges``, built on first use: symmetric, with self-loops,
+        columns ascending within each row. Entry e links ``rows[e]`` to
+        ``cols[e]``, row i holds entries ``indptr[i]:indptr[i+1]``, and
+        ``perm[e]`` is the entry linking ``cols[e]`` to ``rows[e]``."""
+        if self._neighbors is None:
+            m = self.num_nodes
+            i, j = np.array([e[:2] for e in self.edges], dtype=np.int64).reshape(-1, 2).T
+            keys = np.unique(np.concatenate([i * m + j, j * m + i, np.arange(m) * (m + 1)]))
+            rows, cols = np.divmod(keys, m)
+            self._neighbors = Neighbors(np.searchsorted(rows, np.arange(m + 1)), rows, cols,
+                                        np.searchsorted(keys, cols * m + rows))
+        return self._neighbors
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        for i, j, _ in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        """Number of neighbours of each node, self excluded."""
+        return np.diff(self.neighbors().indptr) - 1
 
 
 def build_graph(segments, features, labels, theta: float,
@@ -174,8 +180,8 @@ def build_graph(segments, features, labels, theta: float,
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     m = features.shape[0]
-    if m == 0:
-        raise ValueError("build_graph: zero segments")
+    if m < 2:
+        raise ValueError("build_graph needs at least 2 segments")
     if not (m == len(labels) == len(segments)):
         raise ValueError(
             f"row counts disagree: {m} feature rows, {len(labels)} labels, "
@@ -186,24 +192,14 @@ def build_graph(segments, features, labels, theta: float,
         raise ValueError("distance store does not match segment count")
 
     D = distances.full_matrix()
-    edge_set = {}
-    iu, ju = np.triu_indices(m, k=1)
-    below = D[iu, ju] < theta
-    for i, j in zip(iu[below], ju[below]):
-        edge_set[(int(i), int(j))] = similarity(D[i, j])
-
+    np.fill_diagonal(D, np.inf)
+    linked = D < theta
     # fallback for isolated nodes: one edge to the nearest DTW neighbor
-    connected = np.zeros(m, dtype=bool)
-    for i, j in edge_set:
-        connected[i] = connected[j] = True
-    Dd = D.copy()
-    np.fill_diagonal(Dd, np.inf)
-    for i in np.flatnonzero(~connected):
-        j = int(np.argmin(Dd[i]))
-        key = (min(i, j), max(i, j))
-        edge_set.setdefault(key, similarity(D[i, j]))
-
-    edges = [(i, j, edge_set[(i, j)]) for i, j in sorted(edge_set)]
+    isolated = np.flatnonzero(~linked.any(axis=1))
+    nearest = np.argmin(D[isolated], axis=1)
+    linked[isolated, nearest] = linked[nearest, isolated] = True
+    i, j = np.nonzero(np.triu(linked, 1))
+    edges = list(zip(i.tolist(), j.tolist(), similarity(D[i, j]).tolist()))
     return FaultGraph(node_features=features, node_labels=labels, edges=edges,
                       meta=dict(meta or {}, theta=float(theta)))
 

@@ -260,9 +260,7 @@ def evaluate_on_graph(model: TrainedGAE, ens: EnsembleModel,
                       train_meta: dict, graph: FaultGraph, cfg: dict):
     """Cross-dataset evaluation of a trained model on any graph file."""
     features = _renormalized_features(graph, train_meta["scaler"])
-    eval_graph = FaultGraph(node_features=features,
-                            node_labels=graph.node_labels,
-                            edges=graph.edges, meta=graph.meta)
+    eval_graph = FaultGraph(features, graph.node_labels, graph.edges, graph.meta)
     H2 = gae.embed(eval_graph, model)
     labels = graph.node_labels
     if labels.max() >= ens.n_classes:
@@ -281,9 +279,11 @@ def evaluate_on_graph(model: TrainedGAE, ens: EnsembleModel,
     if graph.meta.get("source_id") == train_meta.get("source_id") and model.split:
         doc["splits"] = {}
         for name, idx in model.split.items():
-            idx = np.asarray(idx, dtype=np.int64)
             if len(idx) == 0:
                 continue
+            if idx.max() >= graph.num_nodes:
+                raise ValueError(f"model split {name} holds node {int(idx.max())}, but "
+                                 f"the graph has {graph.num_nodes} nodes")
             rep = stats.evaluation_report(labels[idx], pred[idx], ens.n_classes,
                                           train_source=doc["train_source"],
                                           test_source=doc["test_source"])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from vibgraph import autodiff as ad
+from vibgraph.graph import FaultGraph
 
 
 def t(values, rg=False):
@@ -84,31 +85,96 @@ class TestForwardValues:
         b = ad.row_softmax(t(x + 100.0)).values
         np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_masked_softmax_zeros_and_sums(self):
-        mask = np.array([[True, False, True], [True, True, False]])
-        out = ad.masked_neighbor_softmax(t(np.ones((2, 3))), mask)
-        assert out.values[0, 1] == 0.0 and out.values[1, 2] == 0.0
-        np.testing.assert_allclose(out.values.sum(axis=1), [1.0, 1.0], atol=1e-14)
+    def test_sum(self):
+        assert ad.tsum(t([[1.0, 2.0], [3.0, 4.0]])).item() == 10.0
 
-    def test_masked_softmax_empty_row_rejected(self):
-        mask = np.array([[False, False]])
-        with pytest.raises(ad.DomainError):
-            ad.masked_neighbor_softmax(t([[1.0, 2.0]]), mask)
 
-    def test_cols(self):
-        out = ad.cols(t([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), 1, 3)
-        np.testing.assert_array_equal(out.values, [[2, 3], [5, 6]])
+# a path 0-1-2, node 3 linked to 0, node 4 isolated
+EDGES = [(0, 1, 0.5), (0, 3, 0.5), (1, 2, 0.5)]
+
+
+def nbrs_of(edges=EDGES, m=5):
+    return FaultGraph(node_features=np.zeros((m, 1)), node_labels=np.zeros(m, int),
+                      edges=edges).neighbors()
+
+
+def dense(nbrs, values):
+    """m x m matrix holding ``values`` at the entries of ``nbrs``, 0 elsewhere."""
+    m = len(nbrs.indptr) - 1
+    out = np.zeros((m, m))
+    out[nbrs.rows, nbrs.cols] = values
+    return out
+
+
+def blocks(x, heads):
+    return np.split(x, heads, axis=1)
+
+
+class TestEdgeOps:
+    def test_head_dot(self):
+        rng = np.random.default_rng(0)
+        X, a = rng.normal(size=(5, 6)), rng.normal(size=(2, 3))
+        out = ad.head_dot(t(X), t(a)).values
+        expect = np.column_stack([Xk @ a[:, k] for k, Xk in enumerate(blocks(X, 3))])
+        np.testing.assert_allclose(out, expect, atol=1e-15)
         with pytest.raises(ad.ShapeError):
-            ad.cols(t(np.zeros((2, 3))), 2, 4)
+            ad.head_dot(t(X), t(np.zeros((3, 3))))
 
-    def test_sum_mean(self):
-        x = t([[1.0, 2.0], [3.0, 4.0]])
-        assert ad.tsum(x).item() == 10.0
-        assert ad.tmean(x).item() == 2.5
+    def test_edge_sum(self):
+        nbrs = nbrs_of()
+        u, v = np.arange(10.0).reshape(5, 2), 100.0 * np.arange(10.0).reshape(5, 2)
+        out = ad.edge_sum(t(u), t(v), nbrs).values
+        for k in range(2):
+            np.testing.assert_array_equal(dense(nbrs, out[:, k]),
+                                          dense(nbrs, 1.0) * (u[:, [k]] + v[:, k]))
+        with pytest.raises(ad.ShapeError):
+            ad.edge_sum(t(u[:4]), t(v[:4]), nbrs)
 
-    def test_transpose(self):
-        out = ad.transpose(t([[1.0, 2.0]]))
-        assert out.shape == (2, 1)
+    def test_edge_softmax_per_row_and_head(self):
+        nbrs = nbrs_of()
+        E = np.random.default_rng(1).normal(size=(len(nbrs.rows), 3))
+        s = ad.edge_softmax(t(E), nbrs).values
+        for k in range(3):
+            S = np.where(dense(nbrs, 1.0) > 0, dense(nbrs, E[:, k]), -np.inf)
+            S = np.exp(S - S.max(axis=1, keepdims=True))
+            np.testing.assert_allclose(dense(nbrs, s[:, k]),
+                                       S / S.sum(axis=1, keepdims=True), atol=1e-15)
+        np.testing.assert_allclose(ad.row_sum(s, nbrs), 1.0, atol=1e-15)
+        np.testing.assert_allclose(ad.edge_softmax(t(E + 500.0), nbrs).values, s,
+                                   atol=1e-15)
+        assert s[nbrs.rows == 4].tolist() == [[1.0, 1.0, 1.0]]   # isolated: self only
+        with pytest.raises(ad.ShapeError):
+            ad.edge_softmax(t(E[1:]), nbrs)
+
+    def test_spmm(self):
+        nbrs = nbrs_of()
+        rng = np.random.default_rng(2)
+        A, X = rng.normal(size=(len(nbrs.rows), 2)), rng.normal(size=(5, 6))
+        out = ad.spmm(t(A), t(X), nbrs).values
+        expect = np.hstack([dense(nbrs, A[:, k]) @ Xk
+                            for k, Xk in enumerate(blocks(X, 2))])
+        np.testing.assert_allclose(out, expect, atol=1e-15)
+        with pytest.raises(ad.ShapeError):
+            ad.spmm(t(A), t(X[:4]), nbrs)
+
+    def test_sddmm(self):
+        nbrs = nbrs_of()
+        rng = np.random.default_rng(3)
+        P, Q = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
+        out = ad.sddmm(t(P), t(Q), nbrs, 3).values
+        assert out.shape == (len(nbrs.rows), 3)
+        for k, (Pk, Qk) in enumerate(zip(blocks(P, 3), blocks(Q, 3))):
+            np.testing.assert_allclose(dense(nbrs, out[:, k]),
+                                       dense(nbrs, 1.0) * (Pk @ Qk.T), atol=1e-15)
+        with pytest.raises(ad.ShapeError):
+            ad.sddmm(t(P[:4]), t(Q[:4]), nbrs, 3)
+
+    def test_head_mean(self):
+        X = np.arange(12.0).reshape(2, 6)
+        out = ad.head_mean(t(X), 3).values
+        np.testing.assert_allclose(out, (X[:, 0:2] + X[:, 2:4] + X[:, 4:6]) / 3)
+        with pytest.raises(ad.ShapeError):
+            ad.head_mean(t(X), 4)
 
 
 class TestBackward:
@@ -141,12 +207,6 @@ class TestBackward:
         ad.backward(ad.tsum(y))
         np.testing.assert_allclose(x.grad, [[8.0]])
 
-    def test_cols_gradient_fills_its_columns_only(self):
-        x = t(np.ones((2, 4)), rg=True)
-        y = ad.add(ad.cols(x, 0, 2), ad.scalar_mul(ad.cols(x, 1, 3), 3.0))
-        ad.backward(ad.tsum(y))
-        np.testing.assert_array_equal(x.grad, [[1, 4, 3, 0], [1, 4, 3, 0]])
-
     def test_backward_needs_scalar(self):
         x = t(np.ones((2, 2)), rg=True)
         with pytest.raises(ad.ShapeError):
@@ -171,7 +231,7 @@ class TestGradCheck:
 
         def f(v):
             h = ad.elu(ad.matmul(v, W1))
-            return ad.tmean(ad.square(ad.sigmoid(ad.matmul(h, W2))))
+            return ad.tsum(ad.square(ad.sigmoid(ad.matmul(h, W2))))
 
         assert ad.grad_check(f, x) < 1e-6
 
@@ -183,16 +243,27 @@ class TestGradCheck:
 
         assert ad.grad_check(f, x) < 1e-6
 
-    def test_masked_softmax_chain(self):
+    @pytest.mark.parametrize("op", ["head_dot", "edge_sum", "edge_softmax", "spmm",
+                                    "sddmm", "head_mean"])
+    def test_edge_op_gradients(self, op):
+        nbrs = nbrs_of()
         rng = np.random.default_rng(5)
-        mask = rng.random((4, 4)) > 0.3
-        mask |= np.eye(4, dtype=bool)
-        x = t(rng.normal(size=(4, 4)), rg=True)
+        nnz = len(nbrs.rows)
+        shapes = {"head_dot": [(5, 6), (2, 3)], "edge_sum": [(5, 3), (5, 3)],
+                  "edge_softmax": [(nnz, 3)], "spmm": [(nnz, 3), (5, 6)],
+                  "sddmm": [(5, 6), (5, 6)], "head_mean": [(5, 6)]}[op]
+        args = {"head_dot": [], "edge_sum": [nbrs], "edge_softmax": [nbrs],
+                "spmm": [nbrs], "sddmm": [nbrs, 3], "head_mean": [3]}[op]
+        inputs = [t(rng.normal(size=s)) for s in shapes]
+        R = t(rng.normal(size=getattr(ad, op)(*inputs, *args).shape))
+        for x in inputs:
+            x.requires_grad = True
 
-        def f(v):
-            return ad.tsum(ad.square(ad.masked_neighbor_softmax(v, mask)))
+            def f(v):
+                return ad.tsum(ad.mul(getattr(ad, op)(*inputs, *args), R))
 
-        assert ad.grad_check(f, x) < 1e-6
+            assert ad.grad_check(f, x) < 1e-8
+            x.requires_grad = False
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):

@@ -215,8 +215,12 @@ class TestModelFile:
         (lambda doc: doc["config"].update(gat_heads=2.0), "config gat_heads has the wrong type"),
         (transposed_weight, "parameter gat0.W must have shape"),
         (nan_weight, "parameter dec.W2 holds non-finite values"),
+        (lambda doc: doc["split"].update(test=[-1]),
+         "split must map train/val/test to lists of integers >= 0"),
+        (lambda doc: doc["split"].update(test=[100000]),
+         "model split test holds node 100000, but the graph has"),
     ], ids=["per_head_layout", "unknown_config_key", "float_head_count",
-            "wrong_shape", "nan_value"])
+            "wrong_shape", "nan_value", "negative_split_index", "split_index_past_graph"])
     def test_mismatched_model_is_validation_error(self, workspace, built, tmp_path,
                                                   capsys, mutate, message):
         model = tmp_path / "model"

@@ -7,6 +7,7 @@ diagnostics.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vibgraph import autodiff as ad
 from vibgraph import gae
@@ -29,6 +30,22 @@ def ring_graph(m=12, dim=4, n_classes=3, seed=0):
     edges = [(i, (i + 1) % m, 0.5) for i in range(m - 1)] + [(0, m - 1, 0.5)]
     edges = sorted((min(i, j), max(i, j), w) for i, j, w in edges)
     return FaultGraph(node_features=X, node_labels=labels, edges=edges)
+
+
+def dense_mask(graph):
+    """Boolean m x m adjacency of ``graph.edges``, both ways, with self-loops."""
+    mask = np.eye(graph.num_nodes, dtype=bool)
+    for i, j, _ in graph.edges:
+        mask[i, j] = mask[j, i] = True
+    return mask
+
+
+def dense_attention(nbrs, A):
+    """Per-head m x m matrices of attention ``A`` held one row per entry."""
+    m = len(nbrs.indptr) - 1
+    out = np.zeros((A.shape[1], m, m))
+    out[:, nbrs.rows, nbrs.cols] = A.T
+    return list(out)
 
 
 def masked_softmax(S, mask):
@@ -66,6 +83,48 @@ def numpy_transformer(X, mask, Wq, Wk, Wv):
         outs.append(np.where(H > 0, H, np.exp(np.minimum(H, 0)) - 1.0))
         attns.append(A)
     return np.mean(outs, axis=0), attns
+
+
+def numpy_gat_grads(X, mask, W, a_src, a_dst, G):
+    """Gradients of sum(G * numpy_gat output) with respect to X, W, a_src and
+    a_dst, by the chain rule written out one head at a time."""
+    heads = a_src.shape[1]
+    h = W.shape[1] // heads
+    dX, dW, da_src, da_dst = (np.zeros_like(x) for x in (X, W, a_src, a_dst))
+    for k in range(heads):
+        blk = slice(k * h, (k + 1) * h)
+        XW = X @ W[:, blk]
+        E = (XW @ a_src[:, [k]]) + (XW @ a_dst[:, [k]]).T
+        A = masked_softmax(np.where(E > 0, E, 0.2 * E), mask)
+        dP = G / heads * (A @ XW > 0)
+        dA = dP @ XW.T
+        dE = A * (dA - (dA * A).sum(axis=1, keepdims=True)) * np.where(E > 0, 1.0, 0.2)
+        du, dv = dE.sum(axis=1), dE.sum(axis=0)
+        dXW = A.T @ dP + np.outer(du, a_src[:, k]) + np.outer(dv, a_dst[:, k])
+        da_src[:, k], da_dst[:, k] = XW.T @ du, XW.T @ dv
+        dW[:, blk] = X.T @ dXW
+        dX += dXW @ W[:, blk].T
+    return dX, dW, da_src, da_dst
+
+
+def numpy_transformer_grads(X, mask, Wq, Wk, Wv, G):
+    """Gradients of sum(G * numpy_transformer output) with respect to X, Wq,
+    Wk and Wv, by the chain rule written out one head at a time."""
+    h = Wq.shape[0]
+    heads = Wq.shape[1] // h
+    dX, dWq, dWk, dWv = (np.zeros_like(x) for x in (X, Wq, Wk, Wv))
+    for k in range(heads):
+        blk = slice(k * h, (k + 1) * h)
+        Q, K, V = (X @ P[:, blk] for P in (Wq, Wk, Wv))
+        A = masked_softmax((Q @ K.T) / np.sqrt(h), mask)
+        H = A @ V
+        dH = G / heads * np.where(H > 0, 1.0, np.exp(np.minimum(H, 0)))
+        dA = dH @ V.T
+        dS = A * (dA - (dA * A).sum(axis=1, keepdims=True)) / np.sqrt(h)
+        for P, dP, dWp in ((Wq, dS @ K, dWq), (Wk, dS.T @ Q, dWk), (Wv, A.T @ dH, dWv)):
+            dWp[:, blk] = X.T @ dP
+            dX += dP @ P[:, blk].T
+    return dX, dWq, dWk, dWv
 
 
 def gat_params(p, layer=0):
@@ -148,52 +207,96 @@ class TestGatLayer:
         g = ring_graph()
         c = small_config()
         p = gae.init_params(c, np.random.default_rng(1))
-        mask = g.neighbor_mask()
-        out, attns = gae.gat_layer(Tensor(g.node_features), mask, *gat_params(p))
-        assert len(attns) == c.gat_heads
-        for A in attns:
-            expect = mask / mask.sum(axis=1, keepdims=True)
-            np.testing.assert_allclose(A.values, expect, atol=1e-12)
+        nbrs = g.neighbors()
+        out, A = gae.gat_layer(Tensor(g.node_features), nbrs, *gat_params(p))
+        assert A.shape == (len(nbrs.rows), c.gat_heads)
+        expect = 1.0 / np.diff(nbrs.indptr)[nbrs.rows]
+        np.testing.assert_allclose(A.values, np.tile(expect[:, None], c.gat_heads),
+                                   atol=1e-12)
 
     def test_matches_numpy_recomputation(self):
         rng = np.random.default_rng(2)
         g = ring_graph(m=8)
-        mask = g.neighbor_mask()
+        mask, nbrs = dense_mask(g), g.neighbors()
         for heads in (1, 3):
             W, a_src, a_dst = (rng.normal(size=s)
                                for s in ((4, 6 * heads), (6, heads), (6, heads)))
-            out, attns = gae.gat_layer(Tensor(g.node_features), mask,
-                                       Tensor(W), Tensor(a_src), Tensor(a_dst))
+            out, A = gae.gat_layer(Tensor(g.node_features), nbrs,
+                                   Tensor(W), Tensor(a_src), Tensor(a_dst))
             expect, expect_attns = numpy_gat(g.node_features, mask, W, a_src, a_dst)
-            assert len(attns) == heads
-            for A, B in zip(attns, expect_attns):
-                np.testing.assert_allclose(A.values, B, atol=1e-12)
+            assert A.shape == (len(nbrs.rows), heads)
+            for Ak, Bk in zip(dense_attention(nbrs, A.values), expect_attns):
+                np.testing.assert_allclose(Ak, Bk, atol=1e-12)
             np.testing.assert_allclose(out.values, expect, atol=1e-12)
 
     def test_rows_sum_to_one(self):
         g = ring_graph()
         c = small_config()
         p = gae.init_params(c, np.random.default_rng(3))
-        _, attns = gae.gat_layer(Tensor(g.node_features), g.neighbor_mask(),
-                                 *gat_params(p))
-        for A in attns:
-            np.testing.assert_allclose(A.values.sum(axis=1), 1.0, atol=1e-12)
+        nbrs = g.neighbors()
+        _, A = gae.gat_layer(Tensor(g.node_features), nbrs, *gat_params(p))
+        np.testing.assert_allclose(ad.row_sum(A.values, nbrs), 1.0, atol=1e-12)
 
 
 class TestTransformerLayer:
     def test_matches_numpy_recomputation(self):
         rng = np.random.default_rng(4)
         g = ring_graph(m=8, dim=6)
-        mask = g.neighbor_mask()
+        mask, nbrs = dense_mask(g), g.neighbors()
         for heads in (1, 3):
             Wq, Wk, Wv = (rng.normal(size=(6, 6 * heads)) for _ in range(3))
-            out, attns = gae.transformer_conv_layer(Tensor(g.node_features), mask,
-                                                    Tensor(Wq), Tensor(Wk), Tensor(Wv))
+            out, A = gae.transformer_conv_layer(Tensor(g.node_features), nbrs,
+                                                Tensor(Wq), Tensor(Wk), Tensor(Wv))
             expect, expect_attns = numpy_transformer(g.node_features, mask, Wq, Wk, Wv)
-            assert len(attns) == heads
-            for A, B in zip(attns, expect_attns):
-                np.testing.assert_allclose(A.values, B, atol=1e-12)
+            assert A.shape == (len(nbrs.rows), heads)
+            for Ak, Bk in zip(dense_attention(nbrs, A.values), expect_attns):
+                np.testing.assert_allclose(Ak, Bk, atol=1e-12)
             np.testing.assert_allclose(out.values, expect, atol=1e-12)
+
+
+class TestSparseMatchesDense:
+    """The edge-list layers against the dense oracles on random graphs, with
+    isolated nodes: outputs and the gradients of a random linear read-out."""
+
+    @staticmethod
+    def random_graph(m, density, seed):
+        rng = np.random.default_rng(seed)
+        linked = np.triu(rng.random((m, m)) < density, 1)
+        isolated = rng.random(m) < 0.2
+        linked[isolated] = linked[:, isolated] = False
+        edges = [(i, j, 0.5) for i, j in zip(*np.nonzero(linked))]
+        return FaultGraph(node_features=rng.random((m, 4)),
+                          node_labels=np.zeros(m, dtype=np.int64), edges=edges), rng
+
+    @staticmethod
+    def check(layer, oracle, grads_oracle, graph, weights, G):
+        X = Tensor(graph.node_features, requires_grad=True)
+        params = [Tensor(w, requires_grad=True) for w in weights]
+        out, _ = layer(X, graph.neighbors(), *params)
+        expect, _ = oracle(graph.node_features, dense_mask(graph), *weights)
+        np.testing.assert_allclose(out.values, expect, rtol=0, atol=1e-12)
+        ad.backward(ad.tsum(ad.mul(out, Tensor(G))))
+        expect = grads_oracle(graph.node_features, dense_mask(graph), *weights, G)
+        for t, e in zip([X, *params], expect):
+            np.testing.assert_allclose(t.grad, e, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(2, 30), density=st.floats(0.0, 1.0),
+           heads=st.sampled_from([1, 3]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_gat_layer(self, m, density, heads, seed):
+        g, rng = self.random_graph(m, density, seed)
+        weights = [rng.normal(size=s) for s in ((4, 5 * heads), (5, heads), (5, heads))]
+        self.check(gae.gat_layer, numpy_gat, numpy_gat_grads, g, weights,
+                   rng.normal(size=(m, 5)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(2, 30), density=st.floats(0.0, 1.0),
+           heads=st.sampled_from([1, 3]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_transformer_conv_layer(self, m, density, heads, seed):
+        g, rng = self.random_graph(m, density, seed)
+        weights = [rng.normal(size=(4, 4 * heads)) for _ in range(3)]
+        self.check(gae.transformer_conv_layer, numpy_transformer,
+                   numpy_transformer_grads, g, weights, rng.normal(size=(m, 4)))
 
 
 class TestEncodeDecode:
@@ -204,7 +307,8 @@ class TestEncodeDecode:
         mu, logvar, H2, attns = gae.encode(g, p, c)
         assert mu.shape == logvar.shape == (12, 3)
         assert H2.shape == (12, 6)
-        assert len(attns) == c.gat_heads + c.transformer_heads
+        nnz = len(g.neighbors().rows)
+        assert [A.shape for A in attns] == [(nnz, c.gat_heads), (nnz, c.transformer_heads)]
         X_hat = gae.decode(Tensor(np.zeros((12, 3))), p)
         assert X_hat.shape == (12, 4)
 

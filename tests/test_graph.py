@@ -186,14 +186,54 @@ class TestBuildGraph:
         assert g.degrees().min() >= 1
         assert any(2 in (i, j) for i, j, _ in g.edges)
 
-    def test_neighbor_mask_self_loops(self):
+    def test_neighbors_csr_view(self):
         s, X, y = self.three_cluster_fixture()
         g = gr.build_graph(s, X, y, theta=1.0)
-        mask = g.neighbor_mask()
-        assert mask.diagonal().all()
-        off_diagonal = {(i, j) for i, j in zip(*np.nonzero(mask)) if i < j}
-        assert off_diagonal == {(i, j) for i, j, _ in g.edges}
-        assert (mask == mask.T).all()
+        # link two clusters and leave node 4 with its self-loop only
+        g.edges = [e for e in g.edges if 4 not in e[:2]] + [(0, 8, 0.1)]
+        nb = g.neighbors()
+        m = g.num_nodes
+        assert nb.indptr[0] == 0 and nb.indptr[-1] == len(nb.rows) == len(nb.cols)
+        for i in range(m):
+            row = nb.cols[nb.indptr[i]:nb.indptr[i + 1]]
+            assert (nb.rows[nb.indptr[i]:nb.indptr[i + 1]] == i).all()
+            assert list(row) == sorted(set(row)) and i in row
+        entries = set(zip(nb.rows.tolist(), nb.cols.tolist()))
+        both_ways = {(i, j) for i, j, _ in g.edges} | {(j, i) for i, j, _ in g.edges}
+        assert {(i, j) for i, j in entries if i != j} == both_ways
+        np.testing.assert_array_equal(nb.rows[nb.perm], nb.cols)
+        np.testing.assert_array_equal(nb.cols[nb.perm], nb.rows)
+        deg = np.zeros(m, dtype=np.int64)
+        for i, j, _ in g.edges:
+            deg[i] += 1
+            deg[j] += 1
+        np.testing.assert_array_equal(g.degrees(), deg)
+        assert g.degrees()[4] == 0
+        assert g.neighbors() is nb
+
+    def test_single_segment_rejected(self):
+        with pytest.raises(ValueError):
+            gr.build_graph(segs([[0.0]]), np.zeros((1, 1)), [0], theta=1.0,
+                           distances=gr.PairwiseDistances(m=1, condensed=np.empty(0)))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_pairwise_loop(self, seed):
+        # the rule spelled out pair by pair; small integer distances force ties
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 12))
+        d = gr.PairwiseDistances(m=m, condensed=rng.integers(0, 6, m * (m - 1) // 2)
+                                 .astype(float))
+        theta = float(rng.integers(0, 5))
+        D = d.full_matrix()
+        linked = {(i, j) for i in range(m) for j in range(i + 1, m) if D[i, j] < theta}
+        isolated = [i for i in range(m) if not any(i in pair for pair in linked)]
+        for i in isolated:
+            j = min((k for k in range(m) if k != i), key=lambda k: (D[i, k], k))
+            linked.add((min(i, j), max(i, j)))
+        expect = [(i, j, gr.similarity(D[i, j])) for i, j in sorted(linked)]
+        g = gr.build_graph(segs([[0.0]] * m), np.zeros((m, 1)), [0] * m, theta,
+                           distances=d)
+        assert g.edges == expect
 
     def test_edges_sorted_i_less_j(self):
         s, X, y = self.three_cluster_fixture()
