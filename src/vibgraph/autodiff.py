@@ -234,6 +234,8 @@ def edge_sum(u: Tensor, v: Tensor, nbrs) -> Tensor:
 def edge_softmax(E: Tensor, nbrs) -> Tensor:
     """Softmax of each column of ``E`` over each row's entries."""
     _check("edge_softmax", len(E.values) == len(nbrs.rows), E)
+    if (np.diff(nbrs.indptr) == 0).any():
+        raise DomainError("edge_softmax over a row with no entries")
     e = np.exp(E.values - np.maximum.reduceat(E.values, nbrs.indptr[:-1])[nbrs.rows])
     s = e / row_sum(e, nbrs)[nbrs.rows]
     return _make("edge_softmax", s,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from vibgraph import autodiff as ad
-from vibgraph.graph import FaultGraph
+from vibgraph.graph import FaultGraph, Neighbors
 
 
 def t(values, rg=False):
@@ -85,8 +85,25 @@ class TestForwardValues:
         b = ad.row_softmax(t(x + 100.0)).values
         np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_sum(self):
-        assert ad.tsum(t([[1.0, 2.0], [3.0, 4.0]])).item() == 10.0
+    def test_masked_softmax_zeros_and_sums(self):
+        nbrs = nbrs_of()
+        s = ad.edge_softmax(t(np.ones((len(nbrs.rows), 1))), nbrs).values[:, 0]
+        S = dense(nbrs, s)
+        assert (S[dense(nbrs, 1.0) == 0] == 0.0).all()
+        np.testing.assert_allclose(S.sum(axis=1), np.ones(5), atol=1e-14)
+        np.testing.assert_allclose(S[0], [1 / 3, 1 / 3, 0, 1 / 3, 0], atol=1e-15)
+
+    def test_masked_softmax_empty_row_rejected(self):
+        # row 1 holds no entry, not even its self-loop
+        nbrs = Neighbors(indptr=np.array([0, 1, 1]), rows=np.array([0]),
+                         cols=np.array([0]), perm=np.array([0]))
+        with pytest.raises(ad.DomainError):
+            ad.edge_softmax(t([[1.0]]), nbrs)
+
+    def test_sum_mean(self):
+        x = t([[1.0, 2.0], [3.0, 4.0]])
+        assert ad.tsum(x).item() == 10.0
+        np.testing.assert_array_equal(ad.head_mean(x, 2).values, [[1.5], [3.5]])
 
 
 # a path 0-1-2, node 3 linked to 0, node 4 isolated
@@ -240,6 +257,19 @@ class TestGradCheck:
 
         def f(v):
             return ad.tsum(ad.square(ad.row_softmax(v)))
+
+        assert ad.grad_check(f, x) < 1e-6
+
+    def test_masked_softmax_chain(self):
+        rng = np.random.default_rng(5)
+        m = 6
+        edges = [(i, j, 1.0) for i in range(m) for j in range(i + 1, m)
+                 if rng.random() > 0.5]
+        nbrs = nbrs_of(edges, m)
+        x = t(rng.normal(size=(len(nbrs.rows), 2)), rg=True)
+
+        def f(v):
+            return ad.tsum(ad.square(ad.edge_softmax(v, nbrs)))
 
         assert ad.grad_check(f, x) < 1e-6
 

@@ -186,6 +186,17 @@ class TestBuildGraph:
         assert g.degrees().min() >= 1
         assert any(2 in (i, j) for i, j, _ in g.edges)
 
+    def test_neighbor_mask_self_loops(self):
+        s, X, y = self.three_cluster_fixture()
+        g = gr.build_graph(s, X, y, theta=1.0)
+        nb = g.neighbors()
+        mask = np.zeros((g.num_nodes, g.num_nodes), dtype=bool)
+        mask[nb.rows, nb.cols] = True
+        assert mask.diagonal().all()
+        off_diagonal = {(i, j) for i, j in zip(*np.nonzero(mask)) if i < j}
+        assert off_diagonal == {(i, j) for i, j, _ in g.edges}
+        assert (mask == mask.T).all()
+
     def test_neighbors_csr_view(self):
         s, X, y = self.three_cluster_fixture()
         g = gr.build_graph(s, X, y, theta=1.0)
