@@ -22,8 +22,7 @@ for w, score in zip(sel.candidates, sel.scores):
     print(f"{w:6d}  {score:.4f}{marker}")
 
 stride = default_stride(sel.w_star)
-segments = segment(series, sel.w_star, stride)
-labels = np.array([s.label for s in segments])
+values, _, labels = segment(series, sel.w_star, stride)
 print(f"\nsegmented with w*={sel.w_star}, stride={stride}: "
-      f"{len(segments)} segments")
+      f"{values.shape[0]}x{values.shape[1]} window matrix")
 print("per-class segment counts:", np.bincount(labels).tolist())

@@ -1,7 +1,7 @@
 """vibgraph: DTW-similarity graphs and a variational graph autoencoder with
 soft-voting ensemble classification for vibration fault diagnosis."""
 
-from .segmentation import (TimeSeries, Segment, WindowSelection,
+from .segmentation import (TimeSeries, WindowSelection,
                            shannon_entropy, average_entropy, select_window,
                            segment)
 from .features import (feature_matrix, minmax_normalize, MinMaxScaler,

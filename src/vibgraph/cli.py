@@ -12,9 +12,8 @@ import sys
 import numpy as np
 
 from . import pipeline, stats
-from .graph import PairBudgetError, atomic_write_text, load_graph, save_graph
-from .graph import pairwise_distances
-from .segmentation import Segment
+from .graph import (PairBudgetError, atomic_write_text, load_graph,
+                    pairwise_distances, save_graph)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -108,10 +107,7 @@ def cmd_dtw_heatmap(args):
     seg_values = graph.meta.get("segments")
     if seg_values is None:
         raise ValueError(f"{args.graph}: meta carries no segment values")
-    starts = graph.meta.get("segment_starts", [0] * len(seg_values))
-    segments = [Segment(values=np.asarray(v), start_index=s, label=0)
-                for v, s in zip(seg_values, starts)]
-    D = pairwise_distances(segments).full_matrix()
+    D = pairwise_distances(seg_values).full_matrix()
     lines = [",".join(repr(float(x)) for x in row) for row in D]
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"{D.shape[0]}x{D.shape[1]} distance matrix -> {args.out}")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .segmentation import Segment, default_bin_count, shannon_entropy
+from .segmentation import default_bin_count, shannon_entropy
 
 FEATURE_NAMES = (
     "mean", "std_dev", "skewness", "kurtosis", "entropy_nats",
@@ -77,11 +77,11 @@ def segment_features(values, bin_count: int | None = None) -> np.ndarray:
     return row
 
 
-def feature_matrix(segments: list[Segment], bin_count: int | None = None) -> np.ndarray:
-    """Stack per-segment feature rows into an m x 10 matrix."""
-    if not segments:
+def feature_matrix(values, bin_count: int | None = None) -> np.ndarray:
+    """Feature rows of the m x w window matrix, one row per window: m x 10."""
+    if len(values) == 0:
         raise ValueError("feature_matrix: no segments")
-    return np.vstack([segment_features(s.values, bin_count) for s in segments])
+    return np.vstack([segment_features(row, bin_count) for row in values])
 
 
 class MinMaxScaler:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_PAIR_BUDGET = 2_000_000
+_PAIR_CHUNK = 4096          # pairs per batched DTW call, bounds its w x w cost cube
 
 
 def dtw_distance(a, b) -> float:
@@ -88,11 +89,16 @@ def _batched_dtw_equal_length(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return D[:, w, w]
 
 
-def pairwise_distances(segments, max_pairs_budget: int = DEFAULT_PAIR_BUDGET,
-                       chunk: int = 4096) -> PairwiseDistances:
-    """All-pairs DTW distances, condensed. Fails loudly if the pair count
-    exceeds the budget rather than silently subsampling."""
-    values = [np.asarray(getattr(s, "values", s), dtype=np.float64) for s in segments]
+def pairwise_distances(values, max_pairs_budget: int = DEFAULT_PAIR_BUDGET) -> PairwiseDistances:
+    """All-pairs DTW distances between the rows of an m x w window matrix,
+    condensed. Fails loudly if the pair count exceeds the budget rather than
+    silently subsampling."""
+    try:
+        values = np.asarray(values, dtype=np.float64)
+    except ValueError:          # rows of different lengths
+        values = None
+    if values is None or values.ndim != 2:
+        raise ValueError("pairwise_distances needs an m x w matrix: windows of one length")
     m = len(values)
     if m < 2:
         raise ValueError("pairwise_distances needs at least 2 segments")
@@ -102,18 +108,11 @@ def pairwise_distances(segments, max_pairs_budget: int = DEFAULT_PAIR_BUDGET,
             f"{n_pairs} segment pairs exceed the budget of {max_pairs_budget}; "
             "raise the segmentation stride or cap the segment count")
 
-    lengths = {v.size for v in values}
     condensed = np.empty(n_pairs)
     ii, jj = np.triu_indices(m, k=1)
-    if len(lengths) == 1:
-        stacked = np.vstack(values)
-        for lo in range(0, n_pairs, chunk):
-            hi = min(lo + chunk, n_pairs)
-            condensed[lo:hi] = _batched_dtw_equal_length(
-                stacked[ii[lo:hi]], stacked[jj[lo:hi]])
-    else:
-        for k in range(n_pairs):
-            condensed[k] = dtw_distance(values[ii[k]], values[jj[k]])
+    for lo in range(0, n_pairs, _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, n_pairs)
+        condensed[lo:hi] = _batched_dtw_equal_length(values[ii[lo:hi]], values[jj[lo:hi]])
     return PairwiseDistances(m=m, condensed=condensed)
 
 
@@ -168,9 +167,7 @@ class FaultGraph:
         return np.diff(self.neighbors().indptr) - 1
 
 
-def build_graph(segments, features, labels, theta: float,
-                distances: PairwiseDistances | None = None,
-                max_pairs_budget: int = DEFAULT_PAIR_BUDGET,
+def build_graph(features, labels, theta: float, distances: PairwiseDistances,
                 meta: dict | None = None) -> FaultGraph:
     """Connect every segment pair with DTW distance strictly below ``theta``.
 
@@ -182,14 +179,10 @@ def build_graph(segments, features, labels, theta: float,
     m = features.shape[0]
     if m < 2:
         raise ValueError("build_graph needs at least 2 segments")
-    if not (m == len(labels) == len(segments)):
+    if not (m == len(labels) == distances.m):
         raise ValueError(
             f"row counts disagree: {m} feature rows, {len(labels)} labels, "
-            f"{len(segments)} segments")
-    if distances is None:
-        distances = pairwise_distances(segments, max_pairs_budget)
-    if distances.m != m:
-        raise ValueError("distance store does not match segment count")
+            f"{distances.m} segments in the distance store")
 
     D = distances.full_matrix()
     np.fill_diagonal(D, np.inf)
@@ -252,6 +245,8 @@ def load_graph(path: str) -> FaultGraph:
     lo, hi, weight = edges.T
     if ((lo < 0) | (lo >= hi) | (hi >= m) | (lo % 1 != 0) | (hi % 1 != 0)).any():
         raise ValueError(f"{path}: edge indices must satisfy 0 <= i < j < {m}")
+    if len(np.unique(lo * m + hi)) < len(edges):
+        raise ValueError(f"{path}: each node pair may carry one edge only")
     if not ((weight > 0) & (weight <= 1)).all():
         raise ValueError(f"{path}: edge weights must lie in (0, 1]")
     return FaultGraph(

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 from dataclasses import asdict
 
@@ -12,8 +13,8 @@ import numpy as np
 
 from . import gae, stats
 from .data import (DEFAULT_BLOCK, DEFAULT_N_CLASSES, DEFAULT_REDUCER,
-                   DEFAULT_SAMPLING_RATE, assemble_dataset, load_recordings,
-                   read_manifest)
+                   DEFAULT_SAMPLING_RATE, REDUCERS, assemble_dataset,
+                   load_recordings, read_manifest)
 from .ensemble import (DEFAULT_HYPERPARAMS, EnsembleModel, _check_hyperparams,
                        fit_ensemble, load_ensemble, save_ensemble)
 from .features import MinMaxScaler, feature_matrix, minmax_normalize
@@ -103,7 +104,32 @@ def parse_config_text(text: str) -> dict:
     return cfg
 
 
+# (setting, comparison, bound) for the graph and ingestion settings; a stride
+# or bin_count of 0 means "derive it from w*"
+_BOUNDS = [("theta_percentile", ">", 0), ("theta_percentile", "<=", 100),
+           ("pair_budget", ">=", 1), ("entropy_step", ">=", 1), ("stride", ">=", 0),
+           ("bin_count", ">=", 0), ("block_size", ">=", 1), ("n_classes", ">=", 2),
+           ("sampling_rate", ">", 0)]
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+def _check_settings(cfg):
+    """Raise a one-line ConfigError naming the first graph or ingestion
+    setting out of range."""
+    for key, op, bound in _BOUNDS:
+        if not _COMPARE[op](cfg[key], bound):
+            raise ConfigError(f"{key} must be {op} {bound}, got {cfg[key]!r}")
+    windows = cfg["candidate_windows"]
+    if not windows or not all(type(w) is int and w >= 2 for w in windows):
+        raise ConfigError(
+            f"candidate_windows must be a non-empty list of integers >= 2, got {windows!r}")
+    if cfg["reducer"] not in REDUCERS:
+        raise ConfigError(f"reducer must be one of {sorted(REDUCERS)}, got {cfg['reducer']!r}")
+
+
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
+    """Defaults, then the config file, then the non-None overrides; the graph
+    and ingestion settings are range-checked before any data file is read."""
     if path is None:
         cfg = dict(DEFAULT_CONFIG)
     else:
@@ -115,6 +141,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
         if key not in DEFAULT_CONFIG:
             raise ConfigError(f"unknown config key {key!r}")
         cfg[key] = value
+    _check_settings(cfg)
     return cfg
 
 
@@ -144,13 +171,12 @@ def build_graph_from_series(series: TimeSeries, cfg: dict):
                         step=cfg["entropy_step"], bin_count=bin_count)
     w_star = sel.w_star
     step = cfg["stride"] or default_stride(w_star)
-    segments = segment(series, w_star, step)
+    values, starts, labels = segment(series, w_star, step)
 
-    raw = feature_matrix(segments, bin_count or default_bin_count(w_star))
+    raw = feature_matrix(values, bin_count or default_bin_count(w_star))
     normalized, scaler = minmax_normalize(raw)
-    labels = np.array([s.label for s in segments])
 
-    distances = pairwise_distances(segments, cfg["pair_budget"])
+    distances = pairwise_distances(values, cfg["pair_budget"])
     theta = threshold_from_percentile(distances, cfg["theta_percentile"])
 
     meta = {
@@ -159,13 +185,12 @@ def build_graph_from_series(series: TimeSeries, cfg: dict):
         "theta_percentile": cfg["theta_percentile"],
         "source_id": series.source_id,
         "scaler": scaler.to_dict(),
-        "segments": [s.values.tolist() for s in segments],
-        "segment_starts": [s.start_index for s in segments],
+        "segments": values.tolist(),
+        "segment_starts": starts.tolist(),
         "config_hash": config_hash(cfg),
         "seed": cfg["seed"],
     }
-    graph = build_graph(segments, normalized, labels, theta,
-                        distances=distances, meta=meta)
+    graph = build_graph(normalized, labels, theta, distances, meta)
     return graph, sel
 
 

@@ -33,15 +33,6 @@ class TimeSeries:
 
 
 @dataclass
-class Segment:
-    """A contiguous window with its majority label and origin index."""
-
-    values: np.ndarray
-    start_index: int
-    label: int
-
-
-@dataclass
 class WindowSelection:
     w_star: int
     candidates: list = field(default_factory=list)
@@ -70,23 +61,24 @@ def shannon_entropy(values, bin_count: int) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def iter_starts(n: int, w: int, step: int):
-    return range(0, n - w + 1, step)
+def windows(x: np.ndarray, w: int, step: int) -> np.ndarray:
+    """Read-only view of the windows ``x[i:i + w]`` for i = 0, step, 2*step, ...
+    as the rows of one matrix."""
+    n = len(x)
+    if w > n:
+        raise ValueError(f"window {w} exceeds series length {n}")
+    if step < 1:
+        raise ValueError("step must be >= 1")
+    return np.lib.stride_tricks.sliding_window_view(x, w)[::step]
 
 
 def average_entropy(series: TimeSeries, w: int, step: int = 1,
                     bin_count: int | None = None) -> float:
     """Mean segment entropy over all windows of size ``w`` at the given stride."""
-    n = len(series)
-    if w > n:
-        raise ValueError(f"window {w} exceeds series length {n}")
-    if step < 1:
-        raise ValueError("step must be >= 1")
     if bin_count is None:
         bin_count = default_bin_count(w)
-    ents = [shannon_entropy(series.samples[i:i + w], bin_count)
-            for i in iter_starts(n, w, step)]
-    return float(np.mean(ents))
+    return float(np.mean([shannon_entropy(row, bin_count)
+                          for row in windows(series.samples, w, step)]))
 
 
 def select_window(series: TimeSeries, candidates, step: int = 1,
@@ -116,19 +108,18 @@ def majority_label(labels: np.ndarray) -> int:
     return int(ids[np.argmax(counts)])
 
 
-def segment(series: TimeSeries, w: int, step: int) -> list[Segment]:
-    """Cut the series into overlapping windows of size ``w`` at stride ``step``."""
-    n = len(series)
-    if w > n:
-        raise ValueError(f"window {w} exceeds series length {n}")
-    if step < 1:
-        raise ValueError("step must be >= 1")
-    out = []
-    for i in iter_starts(n, w, step):
-        out.append(Segment(values=series.samples[i:i + w].copy(),
-                           start_index=i,
-                           label=majority_label(series.labels[i:i + w])))
-    return out
+def segment(series: TimeSeries, w: int,
+            step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut the series into overlapping windows of size ``w`` at stride ``step``.
+
+    Returns ``(values, starts, labels)``: the m x w matrix of windows (a
+    copy), the start index of each window and its majority label.
+    """
+    values = windows(series.samples, w, step).copy()
+    starts = np.arange(len(values)) * step
+    labels = np.array([majority_label(row) for row in windows(series.labels, w, step)],
+                      dtype=np.int64)
+    return values, starts, labels
 
 
 def default_stride(w_star: int) -> int:

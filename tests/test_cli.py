@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from vibgraph import cli, gae, synthetic
+from vibgraph import cli, gae, pipeline, synthetic
 
 FAST_CONFIG = """
 candidate_windows = [8, 16]
@@ -56,6 +56,23 @@ def built(workspace):
     return {"graph": graph, "model": model}
 
 
+# one out-of-range graph or ingestion setting and the start of its message
+BAD_SETTINGS = [
+    ("theta_percentile = 150", "theta_percentile must be <= 100, got 150.0"),
+    ("theta_percentile = 0", "theta_percentile must be > 0, got 0.0"),
+    ("pair_budget = 0", "pair_budget must be >= 1, got 0"),
+    ("candidate_windows = []", "candidate_windows must be a non-empty list"),
+    ("candidate_windows = [1, 8]", "candidate_windows must be a non-empty list"),
+    ("entropy_step = 0", "entropy_step must be >= 1, got 0"),
+    ("stride = -1", "stride must be >= 0, got -1"),
+    ("bin_count = -2", "bin_count must be >= 0, got -2"),
+    ("block_size = 0", "block_size must be >= 1, got 0"),
+    ("n_classes = 1", "n_classes must be >= 2, got 1"),
+    ("sampling_rate = 0", "sampling_rate must be > 0, got 0.0"),
+    ('reducer = "median"', "reducer must be one of ['first', 'mean', 'rms']"),
+]
+
+
 class TestBuildGraph:
     def test_outputs_graph_and_scores(self, workspace, built):
         assert json.load(open(built["graph"]))["meta"]["w_star"] in (8, 16)
@@ -73,6 +90,24 @@ class TestBuildGraph:
                        "--data-dir", str(tmp_path), "--load", "a",
                        "--out", str(tmp_path / "g.json")])
         assert rc == cli.EXIT_IO
+
+    @pytest.mark.parametrize("line, message", BAD_SETTINGS,
+                             ids=[line.replace(" ", "") for line, _ in BAD_SETTINGS])
+    def test_bad_setting_fails_before_reading_data(self, workspace, tmp_path, capsys,
+                                                   monkeypatch, line, message):
+        config = tmp_path / "bad.toml"
+        config.write_text(FAST_CONFIG + f'data_dir = "{workspace["data_dir"]}"\n'
+                          + line + "\n")
+
+        def no_reading(*args, **kwargs):
+            raise AssertionError("data files were read under an invalid config")
+
+        monkeypatch.setattr(pipeline, "load_series_by_load", no_reading)
+        rc = cli.main(["build-graph", "--config", str(config), "--load", "a",
+                       "--out", str(tmp_path / "g.json")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_VALIDATION
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
     def test_pair_budget_exit_code(self, workspace, tmp_path):
         config = tmp_path / "tight.toml"
@@ -282,3 +317,15 @@ class TestDtwHeatmap:
         M = np.asarray(rows, dtype=float)
         np.testing.assert_array_equal(np.diag(M), 0.0)
         np.testing.assert_array_equal(M, M.T)
+
+    def test_ragged_segments_are_validation_error(self, built, tmp_path, capsys):
+        doc = json.load(open(built["graph"]))
+        doc["meta"]["segments"][1].append(0.0)
+        graph = tmp_path / "ragged.json"
+        graph.write_text(json.dumps(doc))
+        rc = cli.main(["dtw-heatmap", "--graph", str(graph),
+                       "--out", str(tmp_path / "heat.csv")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_VALIDATION
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "m x w matrix" in err

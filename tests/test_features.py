@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vibgraph import features as ft
-from vibgraph.segmentation import Segment, shannon_entropy, default_bin_count
+from vibgraph.segmentation import shannon_entropy, default_bin_count
 
 
 class TestStatFeatures:
@@ -99,11 +99,10 @@ class TestSegmentFeatures:
         assert tuple(row[7:10]) == ft.psd_top3(vals)
 
     def test_matrix_stacks_rows(self):
-        segs = [Segment(values=np.random.default_rng(i).normal(size=20),
-                        start_index=0, label=0) for i in range(4)]
-        M = ft.feature_matrix(segs)
+        values = np.random.default_rng(0).normal(size=(4, 20))
+        M = ft.feature_matrix(values)
         assert M.shape == (4, 10)
-        np.testing.assert_array_equal(M[2], ft.segment_features(segs[2].values))
+        np.testing.assert_array_equal(M[2], ft.segment_features(values[2]))
 
 
 class TestMinMaxScaler:

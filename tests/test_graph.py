@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from vibgraph import graph as gr
-from vibgraph.segmentation import Segment
 
 
 def enumerate_dtw(a, b):
@@ -44,8 +43,7 @@ def enumerate_dtw(a, b):
 
 
 def segs(arrays):
-    return [Segment(values=np.asarray(v, float), start_index=0, label=0)
-            for v in arrays]
+    return np.asarray(arrays, dtype=float)
 
 
 class TestDtwDistance:
@@ -111,17 +109,20 @@ class TestPairwiseDistances:
             assert pd.get(i, j) == full[i, j] == full[j, i]
             assert pd.get(j, i) == pd.get(i, j)
 
-    def test_values_match_direct_dtw(self):
+    def test_values_match_direct_dtw(self, monkeypatch):
         rng = np.random.default_rng(3)
         arrays = [rng.normal(size=6) for _ in range(6)]
-        pd = gr.pairwise_distances(segs(arrays))
+        with monkeypatch.context() as patch:     # the batched kernel alone
+            patch.setattr(gr, "dtw_distance", None)
+            pd = gr.pairwise_distances(segs(arrays))
         for i, j in itertools.combinations(range(6), 2):
             assert pd.get(i, j) == pytest.approx(gr.dtw_distance(arrays[i], arrays[j]))
 
-    def test_mixed_lengths_fall_back_to_scalar(self):
-        arrays = [np.arange(4.0), np.arange(6.0), np.arange(5.0)]
-        pd = gr.pairwise_distances(segs(arrays))
-        assert pd.get(0, 1) == pytest.approx(gr.dtw_distance(arrays[0], arrays[1]))
+    def test_ragged_input_rejected(self):
+        # windows of different lengths, and a 1-D array, are no m x w matrix
+        for values in ([np.arange(4.0), np.arange(6.0), np.arange(5.0)], np.arange(6.0)):
+            with pytest.raises(ValueError, match="m x w matrix"):
+                gr.pairwise_distances(values)
 
     def test_budget_enforced(self):
         arrays = [np.arange(4.0)] * 10   # 45 pairs
@@ -160,7 +161,7 @@ class TestBuildGraph:
 
     def test_threshold_keeps_clusters_only(self):
         s, X, y = self.three_cluster_fixture()
-        g = gr.build_graph(s, X, y, theta=1.0)
+        g = gr.build_graph(X, y, 1.0, gr.pairwise_distances(s))
         for i, j, w in g.edges:
             assert y[i] == y[j]
             assert 0.0 < w <= 1.0
@@ -168,27 +169,28 @@ class TestBuildGraph:
 
     def test_edge_weight_is_inverse_distance(self):
         s = segs([[0.0, 0.0], [1.0, 1.0]])
-        g = gr.build_graph(s, np.zeros((2, 1)), [0, 0], theta=10.0)
+        g = gr.build_graph(np.zeros((2, 1)), [0, 0], 10.0, gr.pairwise_distances(s))
         (i, j, w), = g.edges
         assert w == pytest.approx(gr.similarity(gr.dtw_distance([0, 0], [1, 1])))
 
     def test_strictly_below_theta(self):
         s = segs([[0.0], [2.0], [4.0]])   # distances 2, 2, 4
-        g = gr.build_graph(s, np.zeros((3, 1)), [0, 0, 0], theta=2.0)
+        distances = gr.pairwise_distances(s)
+        g = gr.build_graph(np.zeros((3, 1)), [0, 0, 0], 2.0, distances)
         # no distance < 2.0, so only nearest-neighbor fallback edges remain
-        d = gr.pairwise_distances(s).full_matrix()
+        d = distances.full_matrix()
         for i, j, _ in g.edges:
             assert d[i, j] == 2.0
 
     def test_isolated_node_gets_fallback_edge(self):
         s = segs([[0.0], [0.1], [50.0]])
-        g = gr.build_graph(s, np.zeros((3, 1)), [0, 0, 1], theta=1.0)
+        g = gr.build_graph(np.zeros((3, 1)), [0, 0, 1], 1.0, gr.pairwise_distances(s))
         assert g.degrees().min() >= 1
         assert any(2 in (i, j) for i, j, _ in g.edges)
 
     def test_neighbor_mask_self_loops(self):
         s, X, y = self.three_cluster_fixture()
-        g = gr.build_graph(s, X, y, theta=1.0)
+        g = gr.build_graph(X, y, 1.0, gr.pairwise_distances(s))
         nb = g.neighbors()
         mask = np.zeros((g.num_nodes, g.num_nodes), dtype=bool)
         mask[nb.rows, nb.cols] = True
@@ -199,7 +201,7 @@ class TestBuildGraph:
 
     def test_neighbors_csr_view(self):
         s, X, y = self.three_cluster_fixture()
-        g = gr.build_graph(s, X, y, theta=1.0)
+        g = gr.build_graph(X, y, 1.0, gr.pairwise_distances(s))
         # link two clusters and leave node 4 with its self-loop only
         g.edges = [e for e in g.edges if 4 not in e[:2]] + [(0, 8, 0.1)]
         nb = g.neighbors()
@@ -224,8 +226,13 @@ class TestBuildGraph:
 
     def test_single_segment_rejected(self):
         with pytest.raises(ValueError):
-            gr.build_graph(segs([[0.0]]), np.zeros((1, 1)), [0], theta=1.0,
-                           distances=gr.PairwiseDistances(m=1, condensed=np.empty(0)))
+            gr.build_graph(np.zeros((1, 1)), [0], 1.0,
+                           gr.PairwiseDistances(m=1, condensed=np.empty(0)))
+
+    def test_row_counts_must_agree(self):
+        d = gr.pairwise_distances(segs([[0.0], [1.0], [2.0]]))
+        with pytest.raises(ValueError, match="row counts disagree"):
+            gr.build_graph(np.zeros((2, 1)), [0, 0], 1.0, d)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_pairwise_loop(self, seed):
@@ -242,13 +249,12 @@ class TestBuildGraph:
             j = min((k for k in range(m) if k != i), key=lambda k: (D[i, k], k))
             linked.add((min(i, j), max(i, j)))
         expect = [(i, j, gr.similarity(D[i, j])) for i, j in sorted(linked)]
-        g = gr.build_graph(segs([[0.0]] * m), np.zeros((m, 1)), [0] * m, theta,
-                           distances=d)
+        g = gr.build_graph(np.zeros((m, 1)), [0] * m, theta, d)
         assert g.edges == expect
 
     def test_edges_sorted_i_less_j(self):
         s, X, y = self.three_cluster_fixture()
-        g = gr.build_graph(s, X, y, theta=1.0)
+        g = gr.build_graph(X, y, 1.0, gr.pairwise_distances(s))
         pairs = [(i, j) for i, j, _ in g.edges]
         assert pairs == sorted(pairs)
         assert all(i < j for i, j in pairs)
@@ -261,7 +267,7 @@ class TestGraphIO:
     def test_round_trip(self, tmp_path):
         s = segs([[0.0, 1.0], [0.5, 1.5], [10.0, 11.0]])
         X = np.random.default_rng(4).normal(size=(3, 10))
-        g = gr.build_graph(s, X, [0, 0, 1], theta=5.0,
+        g = gr.build_graph(X, [0, 0, 1], 5.0, gr.pairwise_distances(s),
                            meta={"w_star": 2, "source_id": "fixture"})
         path = tmp_path / "g.json"
         gr.save_graph(g, str(path))
@@ -274,7 +280,7 @@ class TestGraphIO:
 
     def test_file_is_valid_json(self, tmp_path):
         s = segs([[0.0], [1.0]])
-        g = gr.build_graph(s, np.zeros((2, 2)), [0, 1], theta=5.0)
+        g = gr.build_graph(np.zeros((2, 2)), [0, 1], 5.0, gr.pairwise_distances(s))
         path = tmp_path / "g.json"
         gr.save_graph(g, str(path))
         doc = json.loads(path.read_text())
@@ -298,6 +304,7 @@ class TestGraphIO:
         ("labels", MISSING),
         ("edges", MISSING),
         (None, [[0.1, 0.2], [0.3, 0.4]]),   # top level not an object
+        ("edges", [[0, 1, 0.5], [0, 1, 0.9], [1, 2, 1.0]]),   # (0, 1) twice
     ])
     def test_malformed_file_rejected(self, tmp_path, key, value):
         doc = {"meta": {}, "features": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]],

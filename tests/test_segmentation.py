@@ -135,28 +135,39 @@ class TestSelectWindow:
             seg.select_window(series(np.arange(10.0)), [4, 64])
 
 
+class TestWindows:
+    def test_rows_are_strided_slices(self):
+        np.testing.assert_array_equal(seg.windows(np.arange(7.0), 3, 2),
+                                      [[0, 1, 2], [2, 3, 4], [4, 5, 6]])
+
+    def test_zero_step_rejected(self):
+        with pytest.raises(ValueError):
+            seg.windows(np.arange(7.0), 3, 0)
+
+
 class TestSegment:
     def test_counts_and_starts(self):
         s = series(np.arange(10.0))
-        out = seg.segment(s, 4, 2)
-        assert [x.start_index for x in out] == [0, 2, 4, 6]
-        np.testing.assert_array_equal(out[1].values, [2.0, 3.0, 4.0, 5.0])
+        values, starts, labels = seg.segment(s, 4, 2)
+        assert starts.tolist() == [0, 2, 4, 6]
+        assert values.shape == (4, 4) and labels.shape == (4,)
+        np.testing.assert_array_equal(values[1], [2.0, 3.0, 4.0, 5.0])
 
     def test_majority_label(self):
         labels = np.array([0, 0, 1, 1, 1, 2])
         s = series(np.zeros(6), labels)
-        out = seg.segment(s, 6, 6)
-        assert out[0].label == 1
+        _, _, out = seg.segment(s, 6, 6)
+        assert out.tolist() == [1]
 
     def test_label_tie_lowest_class(self):
         labels = np.array([2, 2, 1, 1])
         s = series(np.zeros(4), labels)
-        assert seg.segment(s, 4, 4)[0].label == 1
+        assert seg.segment(s, 4, 4)[2].tolist() == [1]
 
     def test_values_are_copies(self):
         s = series(np.arange(6.0))
-        out = seg.segment(s, 3, 3)
-        out[0].values[0] = 99.0
+        values, _, _ = seg.segment(s, 3, 3)
+        values[0, 0] = 99.0
         assert s.samples[0] == 0.0
 
 
