@@ -8,7 +8,10 @@ out-of-fold predictions by exhaustive grid search.
 
 from __future__ import annotations
 
+import inspect
 import json
+import math
+from functools import partial
 
 import numpy as np
 
@@ -47,53 +50,24 @@ def _softmax(z):
 # decision trees
 
 
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "value")
-
-    def __init__(self, value=None):
-        self.feature = -1
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.value = value    # leaf payload: class-frequency or scalar score
-
-    def is_leaf(self):
-        return self.left is None
-
-    def to_dict(self):
-        if self.is_leaf():
-            v = self.value
-            return {"value": v.tolist() if isinstance(v, np.ndarray) else v}
-        return {"feature": self.feature, "threshold": self.threshold,
-                "left": self.left.to_dict(), "right": self.right.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d):
-        node = cls()
-        if "value" in d:
-            v = d["value"]
-            node.value = np.asarray(v) if isinstance(v, list) else v
-            return node
-        node.feature = d["feature"]
-        node.threshold = d["threshold"]
-        node.left = cls.from_dict(d["left"])
-        node.right = cls.from_dict(d["right"])
-        return node
+# A tree is the nested dict ensemble.json holds: a leaf {"value": v}, v a list
+# of class frequencies (forest) or one score (boosters), or a split
+# {"feature", "threshold", "left", "right"} sending x[feature] <= threshold left.
 
 
-def _tree_apply(node, X, width):
+def _tree_apply(tree, X, width):
     out = np.empty((len(X), width)) if width > 1 else np.empty(len(X))
-    stack = [(node, np.arange(len(X)))]
+    stack = [(tree, np.arange(len(X)))]
     while stack:
-        nd, idx = stack.pop()
+        node, idx = stack.pop()
         if len(idx) == 0:
             continue
-        if nd.is_leaf():
-            out[idx] = nd.value
+        if "value" in node:
+            out[idx] = node["value"]
             continue
-        go_left = X[idx, nd.feature] <= nd.threshold
-        stack.append((nd.left, idx[go_left]))
-        stack.append((nd.right, idx[~go_left]))
+        go_left = X[idx, node["feature"]] <= node["threshold"]
+        stack.append((node["left"], idx[go_left]))
+        stack.append((node["right"], idx[~go_left]))
     return out
 
 
@@ -137,16 +111,14 @@ def _grow_tree(X, rows, depth, max_depth, split, leaf):
     """Grow over ``rows`` of ``X``, depth first and left before right; a node
     is a ``leaf(rows)`` at ``max_depth``, below two rows, or where
     ``split(rows)`` is None."""
-    node = _Node()
     found = None if depth >= max_depth or len(rows) < 2 else split(rows)
     if found is None:
-        node.value = leaf(rows)
-        return node
-    node.feature, node.threshold = int(found[0]), float(found[1])
-    go_left = X[rows, node.feature] <= node.threshold
-    node.left = _grow_tree(X, rows[go_left], depth + 1, max_depth, split, leaf)
-    node.right = _grow_tree(X, rows[~go_left], depth + 1, max_depth, split, leaf)
-    return node
+        return {"value": leaf(rows)}
+    feature, threshold = int(found[0]), float(found[1])
+    go_left = X[rows, feature] <= threshold
+    return {"feature": feature, "threshold": threshold,
+            "left": _grow_tree(X, rows[go_left], depth + 1, max_depth, split, leaf),
+            "right": _grow_tree(X, rows[~go_left], depth + 1, max_depth, split, leaf)}
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +153,9 @@ class RandomForest:
 
     kind = "random_forest"
 
-    def __init__(self, trees=None, n_classes=0):
-        self.trees = trees or []
+    def __init__(self, n_classes, trees=()):
         self.n_classes = n_classes
+        self.trees = list(trees)
 
     def predict_proba(self, X):
         X = np.asarray(X, dtype=np.float64)
@@ -193,13 +165,7 @@ class RandomForest:
         return acc / len(self.trees)
 
     def state(self):
-        return {"n_classes": self.n_classes,
-                "trees": [t.to_dict() for t in self.trees]}
-
-    @classmethod
-    def from_state(cls, s):
-        return cls(trees=[_Node.from_dict(t) for t in s["trees"]],
-                   n_classes=s["n_classes"])
+        return {"n_classes": self.n_classes, "trees": self.trees}
 
 
 def train_random_forest(X, labels, n_trees=_HP["rf_trees"],
@@ -212,7 +178,7 @@ def train_random_forest(X, labels, n_trees=_HP["rf_trees"],
 
     def leaf(rows):
         counts = onehot[rows].sum(axis=0)
-        return counts / counts.sum()
+        return (counts / counts.sum()).tolist()
 
     def split(rows):
         counts = onehot[rows].sum(axis=0)
@@ -225,7 +191,7 @@ def train_random_forest(X, labels, n_trees=_HP["rf_trees"],
     trees = [_grow_tree(X, rng.integers(0, len(X), size=len(X)), 0, max_depth,
                         split, leaf)
              for _ in range(n_trees)]
-    return RandomForest(trees=trees, n_classes=C)
+    return RandomForest(C, trees)
 
 
 class Boosting:
@@ -236,12 +202,12 @@ class Boosting:
     Hessians.
     """
 
-    def __init__(self, kind, prior_scores, learning_rate, n_classes, trees=None):
+    def __init__(self, kind, n_classes, learning_rate, prior_scores, trees=()):
         self.kind = kind
-        self.trees = trees or []          # list of rounds, each a list of C trees
-        self.prior_scores = prior_scores
-        self.learning_rate = learning_rate
         self.n_classes = n_classes
+        self.learning_rate = learning_rate
+        self.prior_scores = np.asarray(prior_scores, dtype=np.float64)
+        self.trees = list(trees)          # list of rounds, each a list of C trees
 
     def _scores(self, X):
         scores = np.tile(self.prior_scores, (len(X), 1))
@@ -257,14 +223,7 @@ class Boosting:
         return {"n_classes": self.n_classes,
                 "learning_rate": self.learning_rate,
                 "prior_scores": self.prior_scores.tolist(),
-                "trees": [[t.to_dict() for t in rnd] for rnd in self.trees]}
-
-    @classmethod
-    def from_state(cls, kind, s):
-        return cls(kind,
-                   trees=[[_Node.from_dict(t) for t in rnd] for rnd in s["trees"]],
-                   prior_scores=np.asarray(s["prior_scores"]),
-                   learning_rate=s["learning_rate"], n_classes=s["n_classes"])
+                "trees": self.trees}
 
 
 def _train_boosting(X, labels, n_rounds, learning_rate, depth, kind, l2_leaf=None):
@@ -273,8 +232,7 @@ def _train_boosting(X, labels, n_rounds, learning_rate, depth, kind, l2_leaf=Non
     labels, C = _check_labels(labels)
     onehot = np.eye(C)[labels]
     prior = np.log(np.clip(onehot.mean(axis=0), PROB_CLIP, 1.0))
-    model = Boosting(kind, prior_scores=prior, learning_rate=learning_rate,
-                     n_classes=C)
+    model = Boosting(kind, C, learning_rate, prior)
     scores = np.tile(prior, (len(X), 1))
     all_rows = np.arange(len(X))
     for _ in range(n_rounds):
@@ -324,9 +282,10 @@ class MLPClassifier:
 
     kind = "feed_forward_net"
 
-    def __init__(self, W1, b1, W2, b2, n_classes):
-        self.W1, self.b1, self.W2, self.b2 = W1, b1, W2, b2
+    def __init__(self, n_classes, W1, b1, W2, b2):
         self.n_classes = n_classes
+        self.W1, self.b1, self.W2, self.b2 = (np.asarray(a, dtype=np.float64)
+                                              for a in (W1, b1, W2, b2))
 
     def _logits(self, X):
         H = np.maximum(X @ self.W1 + self.b1, 0.0)
@@ -339,11 +298,6 @@ class MLPClassifier:
         return {"n_classes": self.n_classes,
                 "W1": self.W1.tolist(), "b1": self.b1.tolist(),
                 "W2": self.W2.tolist(), "b2": self.b2.tolist()}
-
-    @classmethod
-    def from_state(cls, s):
-        return cls(np.asarray(s["W1"]), np.asarray(s["b1"]),
-                   np.asarray(s["W2"]), np.asarray(s["b2"]), s["n_classes"])
 
 
 def mlp_loss(params, X_arr, onehot):
@@ -378,15 +332,20 @@ def train_mlp_classifier(X, labels, hidden=_HP["mlp_hidden"],
         loss = mlp_loss(params, X, onehot)
         ad.backward(loss)
         ad.adam_step(opt)
-    return MLPClassifier(W1.values, b1.values, W2.values, b2.values, C)
+    return MLPClassifier(C, W1.values, b1.values, W2.values, b2.values)
 
 
 # ---------------------------------------------------------------------------
 # soft-voting ensemble
 
 
-BASE_KINDS = ("random_forest", "gradient_boosting", "regularized_boosting",
-              "feed_forward_net")
+# each base learner's constructor, in mixing-weight order; the keys of a
+# learner's state in ensemble.json are its constructor's parameters
+_LEARNERS = {"random_forest": RandomForest,
+             "gradient_boosting": partial(Boosting, "gradient_boosting"),
+             "regularized_boosting": partial(Boosting, "regularized_boosting"),
+             "feed_forward_net": MLPClassifier}
+BASE_KINDS = tuple(_LEARNERS)
 
 
 def _simplex_grid(resolution):
@@ -522,16 +481,110 @@ def save_ensemble(model: EnsembleModel, path: str) -> None:
     atomic_write_text(path, json.dumps(doc, sort_keys=True))
 
 
+_SPLIT_KEYS = {"feature", "threshold", "left", "right"}
+
+
+def _finite(x):
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+def _finite_list(x, n):
+    return isinstance(x, list) and len(x) == n and all(map(_finite, x))
+
+
+def _check_matrix(value, name, shape=None):
+    """``value`` as a 2-D float array of ``shape`` (any shape when None)."""
+    try:
+        a = np.asarray(value)
+    except ValueError:                  # ragged nested lists
+        a = np.asarray(None)
+    if (a.dtype.kind not in "iuf" or a.ndim != 2 or not np.isfinite(a).all()
+            or shape not in (None, a.shape)):
+        size = "" if shape is None else f"{shape[0]} x {shape[1]} "
+        raise ValueError(f"feed_forward_net {name} must be a {size}matrix of "
+                         f"finite numbers")
+    return a
+
+
+def _check_tree(tree, where, d, width):
+    """Every node a leaf or a split on a feature in [0, d) at a finite
+    threshold; a leaf holds ``width`` finite numbers, or one when None."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        keys = set(node) if isinstance(node, dict) else None
+        if keys == {"value"}:
+            v = node["value"]
+            if not (_finite(v) if width is None else _finite_list(v, width)):
+                holds = ("one finite number" if width is None
+                         else f"{width} finite numbers")
+                raise ValueError(f"{where} leaf must hold {holds}, got {v!r}")
+        elif keys == _SPLIT_KEYS:
+            f, t = node["feature"], node["threshold"]
+            if type(f) is not int or not 0 <= f < d:
+                raise ValueError(f"{where} split feature must be an integer in "
+                                 f"[0, {d}), got {f!r}")
+            if not _finite(t):
+                raise ValueError(f"{where} split threshold must be finite, got {t!r}")
+            stack += [node["left"], node["right"]]
+        else:
+            raise ValueError(f"{where} node must be a leaf {{value}} or a split "
+                             f"{{feature, threshold, left, right}}")
+
+
+def _check_ensemble_doc(doc):
+    """Raise a one-line ValueError for the first fault in a loaded
+    ensemble.json, so that a learner is only built from a consistent state."""
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != ENSEMBLE_FORMAT_VERSION:
+        raise ValueError(f"unsupported ensemble format {version}")
+    C = doc.get("n_classes")
+    if type(C) is not int or C < 2:
+        raise ValueError(f"ensemble n_classes must be an integer >= 2, got {C!r}")
+    if not _finite_list(doc.get("weights"), len(BASE_KINDS)):
+        raise ValueError(f"ensemble weights must be {len(BASE_KINDS)} finite numbers")
+    bases = doc.get("bases")
+    if not isinstance(bases, dict) or set(bases) != set(BASE_KINDS):
+        raise ValueError(f"ensemble bases must be exactly {list(BASE_KINDS)}")
+    for kind, learner in _LEARNERS.items():
+        keys = set(inspect.signature(learner).parameters)
+        s = bases[kind]
+        if not isinstance(s, dict) or set(s) != keys:
+            raise ValueError(f"{kind} state keys must be {sorted(keys)}, got "
+                             f"{sorted(s) if isinstance(s, dict) else s!r}")
+        if type(s["n_classes"]) is not int or s["n_classes"] != C:
+            raise ValueError(f"{kind} n_classes must be the ensemble's {C}, "
+                             f"got {s['n_classes']!r}")
+
+    mlp = bases["feed_forward_net"]
+    d, h = _check_matrix(mlp["W1"], "W1").shape
+    for name, shape in (("b1", (1, h)), ("W2", (h, C)), ("b2", (1, C))):
+        _check_matrix(mlp[name], name, shape)
+
+    forest = bases["random_forest"]["trees"]
+    if not isinstance(forest, list) or not forest:
+        raise ValueError("random_forest trees must be a non-empty list")
+    for i, tree in enumerate(forest):
+        _check_tree(tree, f"random_forest tree {i}", d, C)
+    for kind in ("gradient_boosting", "regularized_boosting"):
+        s = bases[kind]
+        lr = s["learning_rate"]
+        if not (_finite(lr) and lr > 0):
+            raise ValueError(f"{kind} learning_rate must be finite and > 0, got {lr!r}")
+        if not _finite_list(s["prior_scores"], C):
+            raise ValueError(f"{kind} prior_scores must be {C} finite numbers")
+        if not isinstance(s["trees"], list):
+            raise ValueError(f"{kind} trees must be a list of rounds")
+        for r, round_trees in enumerate(s["trees"]):
+            if not isinstance(round_trees, list) or len(round_trees) != C:
+                raise ValueError(f"{kind} round {r} must hold {C} trees")
+            for c, tree in enumerate(round_trees):
+                _check_tree(tree, f"{kind} round {r} tree {c}", d, None)
+
+
 def load_ensemble(path: str) -> EnsembleModel:
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format_version") != ENSEMBLE_FORMAT_VERSION:
-        raise ValueError(f"unsupported ensemble format {doc.get('format_version')}")
-    b = doc["bases"]
-    bases = [
-        RandomForest.from_state(b["random_forest"]),
-        Boosting.from_state("gradient_boosting", b["gradient_boosting"]),
-        Boosting.from_state("regularized_boosting", b["regularized_boosting"]),
-        MLPClassifier.from_state(b["feed_forward_net"]),
-    ]
-    return EnsembleModel(bases, np.asarray(doc["weights"]), doc["n_classes"])
+    _check_ensemble_doc(doc)
+    bases = [_LEARNERS[kind](**doc["bases"][kind]) for kind in BASE_KINDS]
+    return EnsembleModel(bases, doc["weights"], doc["n_classes"])

@@ -44,15 +44,15 @@ class GaeConfig:
 
     def validate(self):
         """Raise a one-line ValueError naming the first setting out of range:
-        sizes, counts and learning_rate > 0; kl_weight, epochs and each split
-        fraction >= 0; split fractions summing to 1."""
+        sizes, counts and learning_rate > 0; kl_weight, epochs, seed and each
+        split fraction >= 0; split fractions summing to 1."""
         for key in ("input_dim", "hidden_dim", "latent_dim", "num_gat_layers",
                     "num_transformer_layers", "gat_heads", "transformer_heads",
                     "learning_rate"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be > 0, got {getattr(self, key)!r}")
         for key, value in [("kl_weight", self.kl_weight), ("epochs", self.epochs),
-                           *zip(SPLIT_KEYS, self.split_fractions)]:
+                           ("seed", self.seed), *zip(SPLIT_KEYS, self.split_fractions)]:
             if not value >= 0:
                 raise ValueError(f"{key} must be >= 0, got {value!r}")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:

@@ -114,8 +114,9 @@ _COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 def _check_settings(cfg):
-    """Raise a one-line ConfigError naming the first graph or ingestion
-    setting out of range."""
+    """Raise a one-line ConfigError naming the first setting out of range:
+    graph and ingestion settings here, model and ensemble settings by the
+    checks of the modules that consume them."""
     for key, op, bound in _BOUNDS:
         if not _COMPARE[op](cfg[key], bound):
             raise ConfigError(f"{key} must be {op} {bound}, got {cfg[key]!r}")
@@ -125,11 +126,16 @@ def _check_settings(cfg):
             f"candidate_windows must be a non-empty list of integers >= 2, got {windows!r}")
     if cfg["reducer"] not in REDUCERS:
         raise ConfigError(f"reducer must be one of {sorted(REDUCERS)}, got {cfg['reducer']!r}")
+    try:
+        gae_config_from(cfg)
+        _check_hyperparams({k: cfg[k] for k in DEFAULT_HYPERPARAMS})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
-    """Defaults, then the config file, then the non-None overrides; the graph
-    and ingestion settings are range-checked before any data file is read."""
+    """Defaults, then the config file, then the non-None overrides; every
+    setting is range-checked before any data file is read."""
     if path is None:
         cfg = dict(DEFAULT_CONFIG)
     else:
@@ -215,14 +221,13 @@ def train_on_graph(graph: FaultGraph, cfg: dict):
     fitted on the training split only; the report carries metrics for all
     three splits of the training graph.
     """
-    hp = {k: cfg[k] for k in DEFAULT_HYPERPARAMS}
-    _check_hyperparams(hp)          # before the GAE spends its training time
     model = gae.train(graph, gae_config_from(cfg))
     H2 = gae.embed(graph, model)
     labels = graph.node_labels
     tr = model.split["train"]
 
-    ens = fit_ensemble(H2[tr], labels[tr], hp, seed=cfg["seed"])
+    ens = fit_ensemble(H2[tr], labels[tr], {k: cfg[k] for k in DEFAULT_HYPERPARAMS},
+                       seed=cfg["seed"])
 
     n_classes = int(labels.max()) + 1
     source = graph.meta.get("source_id", "")

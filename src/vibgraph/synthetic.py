@@ -16,6 +16,13 @@ from .segmentation import TimeSeries
 DEFAULT_PERIODS = (20.0, 6.0, 3.0)
 
 
+def _noisy_sinusoid(rng, chunk_len, period, amplitude, noise):
+    """One chunk: a random phase is drawn first, then the Gaussian noise."""
+    phase = rng.uniform(0, 2 * np.pi)
+    x = amplitude * np.sin(2 * np.pi * np.arange(chunk_len) / period + phase)
+    return x + noise * amplitude * rng.standard_normal(chunk_len)
+
+
 def make_sinusoid_series(n_chunks_per_class=8, chunk_len=200,
                          periods=DEFAULT_PERIODS, noise=0.1, amplitude=1.0,
                          seed=0, source_id="synthetic") -> TimeSeries:
@@ -24,11 +31,7 @@ def make_sinusoid_series(n_chunks_per_class=8, chunk_len=200,
     samples, labels = [], []
     for _ in range(n_chunks_per_class):
         for cls, period in enumerate(periods):
-            phase = rng.uniform(0, 2 * np.pi)
-            t = np.arange(chunk_len)
-            x = amplitude * np.sin(2 * np.pi * t / period + phase)
-            x += noise * amplitude * rng.standard_normal(chunk_len)
-            samples.append(x)
+            samples.append(_noisy_sinusoid(rng, chunk_len, period, amplitude, noise))
             labels.append(np.full(chunk_len, cls, dtype=np.int64))
     return TimeSeries(samples=np.concatenate(samples),
                       labels=np.concatenate(labels), source_id=source_id)
@@ -51,10 +54,7 @@ def write_synthetic_load_files(out_dir, loads=("loadA", "loadB", "loadC"),
         amplitude = 1.0 + 0.25 * li
         for cls, period in enumerate(periods):
             for chunk in range(n_chunks_per_class):
-                phase = rng.uniform(0, 2 * np.pi)
-                t = np.arange(chunk_len)
-                x = amplitude * np.sin(2 * np.pi * t / period + phase)
-                x += noise * amplitude * rng.standard_normal(chunk_len)
+                x = _noisy_sinusoid(rng, chunk_len, period, amplitude, noise)
                 name = f"{load}_c{cls}_{chunk}.csv"
                 atomic_write_text(os.path.join(out_dir, name),
                                   "\n".join(repr(float(v)) for v in x) + "\n")

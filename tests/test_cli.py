@@ -238,8 +238,19 @@ def nan_weight(doc):
     doc["params"]["dec.W2"]["values"][0] = float("nan")
 
 
+def forest_node(doc, leaf):
+    """The first leaf (or split) met walking the first forest tree depth first."""
+    stack = [doc["bases"]["random_forest"]["trees"][0]]
+    while True:
+        node = stack.pop()
+        if ("value" in node) == leaf:
+            return node
+        stack += [node["right"], node["left"]]
+
+
 class TestModelFile:
-    """A model.json that does not fit its own config exits 2 with one line."""
+    """A model.json or ensemble.json that does not fit its own config exits 2
+    with one line."""
 
     @pytest.mark.parametrize("mutate, message", [
         (per_head_layout, "parameter names must be those of the config (unknown "
@@ -272,6 +283,34 @@ class TestModelFile:
         assert message in err
 
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda doc: forest_node(doc, leaf=False).update(feature=999),
+         "random_forest tree 0 split feature must be an integer in [0, 8), got 999"),
+        (lambda doc: forest_node(doc, leaf=True).update(value=[1.0]),
+         "random_forest tree 0 leaf must hold 3 finite numbers, got [1.0]"),
+        (lambda doc: forest_node(doc, leaf=False).update(threshold=float("nan")),
+         "random_forest tree 0 split threshold must be finite, got nan"),
+        (lambda doc: doc.update(n_classes="3"),
+         "ensemble n_classes must be an integer >= 2, got '3'"),
+        (lambda doc: doc["bases"]["random_forest"].pop("trees"),
+         "random_forest state keys must be ['n_classes', 'trees'], got ['n_classes']"),
+    ], ids=["feature_out_of_range", "short_forest_leaf", "nan_threshold",
+            "string_class_count", "missing_trees"])
+    def test_malformed_ensemble_is_validation_error(self, workspace, built, tmp_path,
+                                                    capsys, mutate, message):
+        model = tmp_path / "model"
+        shutil.copytree(built["model"], model)
+        doc = json.loads((model / "ensemble.json").read_text())
+        mutate(doc)
+        (model / "ensemble.json").write_text(json.dumps(doc))
+        rc = cli.main(["evaluate", "--config", workspace["config"],
+                       "--model", str(model), "--graph", built["graph"],
+                       "--out", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_VALIDATION
+        assert err == f"error: {message}\n"
+
+
 class TestCrossEval:
     def test_full_matrix(self, workspace, tmp_path):
         out = str(tmp_path / "xeval")
@@ -280,6 +319,27 @@ class TestCrossEval:
         assert rc == 0
         summary = json.load(open(f"{out}/summary.json"))
         assert set(summary["reports"]) == {"a->a", "a->b", "b->a", "b->b"}
+
+    @pytest.mark.parametrize("line, message", [
+        ("cv_folds = 0", "cv_folds must be >= 2, got 0"),
+        ("learning_rate = -1.0", "learning_rate must be > 0, got -1.0"),
+        ("seed = -1", "seed must be >= 0, got -1"),
+    ], ids=["cv_folds", "learning_rate", "seed"])
+    def test_bad_setting_fails_before_building_graphs(self, workspace, tmp_path, capsys,
+                                                      monkeypatch, line, message):
+        config = tmp_path / "bad.toml"
+        config.write_text(FAST_CONFIG + f'data_dir = "{workspace["data_dir"]}"\n'
+                          + line + "\n")
+
+        def no_reading(*args, **kwargs):
+            raise AssertionError("data files were read under an invalid config")
+
+        monkeypatch.setattr(pipeline, "load_series_by_load", no_reading)
+        out = tmp_path / "xeval"
+        rc = cli.main(["cross-eval", "--config", str(config), "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestCompare:

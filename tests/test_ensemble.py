@@ -274,12 +274,16 @@ class TestEnsembleModel:
         model = en.fit_ensemble(X, y, hp, seed=0)
         assert (model.predict(X) == y).mean() > 0.9
 
-        path = str(tmp_path / "ens.json")
-        en.save_ensemble(model, path)
-        loaded = en.load_ensemble(path)
+        path = tmp_path / "ens.json"
+        en.save_ensemble(model, str(path))
+        loaded = en.load_ensemble(str(path))
         np.testing.assert_array_equal(loaded.weights, model.weights)
         np.testing.assert_allclose(loaded.predict_proba(X),
                                    model.predict_proba(X), atol=1e-12)
+        # saving what was loaded writes the same bytes
+        again = tmp_path / "again.json"
+        en.save_ensemble(loaded, str(again))
+        assert again.read_bytes() == path.read_bytes()
 
     def test_oof_dominance(self):
         X, y = blobs(n_per=15, seed=14, spread=1.5)
