@@ -72,9 +72,10 @@ def _tree_apply(tree, X, width):
 
 
 def _gini_gain(left, right, nl, nr, total, n):
-    """Gini impurity decrease; ``left``/``right`` are n_splits x C class counts."""
-    gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
-    gini_r = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
+    """Gini impurity decrease; ``left``/``right`` hold class counts on the
+    last axis."""
+    gini_l = 1.0 - ((left / nl[..., None]) ** 2).sum(axis=-1)
+    gini_r = 1.0 - ((right / nr[..., None]) ** 2).sum(axis=-1)
     parent = 1.0 - ((total / n) ** 2).sum()
     return parent - (nl * gini_l + nr * gini_r) / n
 
@@ -84,27 +85,53 @@ def _sse_gain(left, right, nl, nr, total, n):
     return left ** 2 / nl + right ** 2 / nr - total ** 2 / n
 
 
+def _scan_sorted(X, Y, order, feat_ids, total, gain, min_gain):
+    """Best split over a node whose rows of ``X`` are listed in ``order``,
+    column j sorted stably by feature ``feat_ids[j]``; ``total`` is the
+    node's sum of ``Y``. The gain of every boundary of every feature is one
+    (n-1) x F grid, -inf where equal values would be parted."""
+    n = len(order)
+    if n < 2:
+        return None
+    xs = X[order, feat_ids]
+    left = np.cumsum(Y[order], axis=0)[:-1]       # split between i and i+1
+    nl = np.arange(1.0, n)[:, None]
+    g = gain(left, total - left, nl, n - nl, total, n)
+    g[xs[:-1] >= xs[1:]] = -np.inf
+    at = g.argmax(axis=0)                         # first boundary per feature
+    col_best = g[at, np.arange(len(feat_ids))]
+    j = int(np.argmax(col_best))                  # earliest feature wins ties
+    if not col_best[j] > min_gain:
+        return None
+    i = at[j]
+    return int(feat_ids[j]), 0.5 * (xs[i, j] + xs[i + 1, j]), float(col_best[j])
+
+
 def _best_split(X, Y, feat_ids, gain, min_gain):
     """Best (feature, midpoint threshold, gain) over ``feat_ids`` gaining more
     than ``min_gain``, else None. Each feature is scanned in stable sorted
-    order with running sums of ``Y``; an earlier feature wins ties."""
-    n = len(X)
-    total = Y.sum(axis=0)
-    best = (None, 0.0, min_gain)
-    for f in feat_ids:
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        cum = np.cumsum(Y[order], axis=0)
-        valid = np.flatnonzero(xs[:-1] < xs[1:])   # split between i and i+1
-        if len(valid) == 0:
-            continue
-        nl = (valid + 1).astype(np.float64)
-        left = cum[valid]
-        g = gain(left, total - left, nl, n - nl, total, n)
-        k = int(np.argmax(g))
-        if g[k] > best[2]:
-            best = (f, 0.5 * (xs[valid[k]] + xs[valid[k] + 1]), float(g[k]))
-    return best if best[0] is not None else None
+    order with running sums of ``Y``; the first boundary of a feature and an
+    earlier feature win ties."""
+    feat_ids = np.asarray(feat_ids, dtype=np.int64)
+    order = np.argsort(X[:, feat_ids], axis=0, kind="stable")
+    return _scan_sorted(X, Y, order, feat_ids, Y.sum(axis=0), gain, min_gain)
+
+
+def _presorted_split(X, gain, min_gain):
+    """``split(Y, rows)``, equal to ``_best_split`` of ``X[rows]`` and
+    ``Y[rows]`` over every feature for ascending ``rows``, from one stable
+    sort of each feature of ``X``: a node's rows filtered out of that sort
+    keep the order a stable sort of the node alone gives them."""
+    presorted = np.argsort(X.T, axis=1, kind="stable")        # d x n
+    feat_ids = np.arange(X.shape[1])
+
+    def split(Y, rows):
+        in_node = np.zeros(len(X), dtype=bool)
+        in_node[rows] = True
+        order = presorted[in_node[presorted]].reshape(len(feat_ids), -1).T
+        # the total is summed in row order, as _best_split sums it
+        return _scan_sorted(X, Y, order, feat_ids, Y[rows].sum(axis=0), gain, min_gain)
+    return split
 
 
 def _grow_tree(X, rows, depth, max_depth, split, leaf):
@@ -235,6 +262,7 @@ def _train_boosting(X, labels, n_rounds, learning_rate, depth, kind, l2_leaf=Non
     model = Boosting(kind, C, learning_rate, prior)
     scores = np.tile(prior, (len(X), 1))
     all_rows = np.arange(len(X))
+    scan = _presorted_split(X, _sse_gain, 1e-12)
     for _ in range(n_rounds):
         p = _softmax(scores)
         round_trees = []
@@ -243,17 +271,13 @@ def _train_boosting(X, labels, n_rounds, learning_rate, depth, kind, l2_leaf=Non
             g = p[:, c] - onehot[:, c]
             h = p[:, c] * (1.0 - p[:, c])
 
-            def split(rows):
-                return _best_split(X[rows], residual[rows], range(X.shape[1]),
-                                   _sse_gain, 1e-12)
-
             def mean_leaf(rows):
                 return float(residual[rows].mean())
 
             def newton_leaf(rows):
                 return float(-g[rows].sum() / (h[rows].sum() + l2_leaf))
 
-            tree = _grow_tree(X, all_rows, 0, depth, split,
+            tree = _grow_tree(X, all_rows, 0, depth, partial(scan, residual),
                               mean_leaf if l2_leaf is None else newton_leaf)
             round_trees.append(tree)
             scores[:, c] += learning_rate * _tree_apply(tree, X, 1)

@@ -108,11 +108,8 @@ class MinMaxScaler:
         return out
 
     def to_dict(self):
+        """The constructor's arguments, as JSON lists."""
         return {"col_min": self.col_min.tolist(), "col_max": self.col_max.tolist()}
-
-    @classmethod
-    def from_dict(cls, d) -> "MinMaxScaler":
-        return cls(d["col_min"], d["col_max"])
 
 
 def minmax_normalize(matrix) -> tuple[np.ndarray, MinMaxScaler]:

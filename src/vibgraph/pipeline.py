@@ -16,7 +16,7 @@ from .data import (DEFAULT_BLOCK, DEFAULT_N_CLASSES, DEFAULT_REDUCER,
                    DEFAULT_SAMPLING_RATE, REDUCERS, assemble_dataset,
                    load_recordings, read_manifest)
 from .ensemble import (DEFAULT_HYPERPARAMS, EnsembleModel, _check_hyperparams,
-                       fit_ensemble, load_ensemble, save_ensemble)
+                       _finite_list, fit_ensemble, load_ensemble, save_ensemble)
 from .features import MinMaxScaler, feature_matrix, minmax_normalize
 from .gae import SPLIT_KEYS, GaeConfig, TrainedGAE
 from .graph import (DEFAULT_PAIR_BUDGET, FaultGraph, atomic_write_text,
@@ -255,11 +255,30 @@ def save_model_dir(out_dir: str, model: TrainedGAE, ens: EnsembleModel,
                       json.dumps(report, indent=1, sort_keys=True))
 
 
+def _scaler(doc, whose, width=None) -> MinMaxScaler:
+    """The scaler a JSON object describes, checked: ``col_min`` and ``col_max``
+    are two equal-length lists of finite numbers, ``width`` long when given."""
+    doc = doc if isinstance(doc, dict) else {}
+    col_min, col_max = doc.get("col_min"), doc.get("col_max")
+    n = len(col_min) if isinstance(col_min, list) else -1
+    if not (_finite_list(col_min, n) and _finite_list(col_max, n)):
+        raise ValueError(f"{whose} scaler must hold col_min and col_max, two "
+                         f"equal-length lists of finite numbers")
+    if width is not None and n != width:
+        raise ValueError(f"{whose} scaler has {n} columns, but the graph has "
+                         f"{width} feature columns")
+    return MinMaxScaler(col_min, col_max)
+
+
 def load_model_dir(model_dir: str):
     model = gae.load_model(os.path.join(model_dir, MODEL_FILE))
     ens = load_ensemble(os.path.join(model_dir, ENSEMBLE_FILE))
-    with open(os.path.join(model_dir, TRAIN_REPORT_FILE)) as fh:
+    path = os.path.join(model_dir, TRAIN_REPORT_FILE)
+    with open(path) as fh:
         report = json.load(fh)
+    if not isinstance(report, dict):
+        raise ValueError(f"{path}: the train report must be a JSON object")
+    _scaler(report.get("scaler"), f"{path}: training")
     return model, ens, report
 
 
@@ -269,21 +288,19 @@ def _renormalized_features(graph: FaultGraph, train_scaler: dict) -> np.ndarray:
     Graph files store features normalized by their own scaler; recovering the
     raw values and re-applying the training scaler makes cross-dataset
     embeddings comparable. When the scalers are identical the stored features
-    are reused bit-for-bit.
+    are reused bit-for-bit. Either scaler must be as wide as the features.
     """
     own = graph.meta.get("scaler")
-    if own is None:
-        raise ValueError("graph file carries no scaler parameters")
-    if train_scaler is None:
-        raise ValueError("training metadata carries no scaler parameters")
+    width = graph.node_features.shape[1]
+    own_scaler = _scaler(own, "graph", width)
+    train = _scaler(train_scaler, "training", width)
     if own == train_scaler:
         return graph.node_features
-    own_scaler = MinMaxScaler.from_dict(own)
     span = own_scaler.col_max - own_scaler.col_min
     raw = graph.node_features * span + own_scaler.col_min
     const = span == 0
     raw[:, const] = own_scaler.col_min[const]
-    return MinMaxScaler.from_dict(train_scaler).transform(raw)
+    return train.transform(raw)
 
 
 def evaluate_on_graph(model: TrainedGAE, ens: EnsembleModel,

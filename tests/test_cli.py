@@ -211,6 +211,44 @@ class TestEvaluate:
                        "--out", str(tmp_path / "report.json")])
         assert rc == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda report: [report], "the train report must be a JSON object"),
+        (lambda report: dict(report, scaler={"col_min": [0], "col_max": [1]}),
+         "training scaler has 1 columns, but the graph has 10 feature columns"),
+        (lambda report: dict(report, scaler={"col_min": [0.0] * 10}),
+         "training scaler must hold col_min and col_max, two equal-length lists"),
+        (lambda report: dict(report, scaler={"col_min": [0.0] * 10,
+                                             "col_max": [float("nan")] * 10}),
+         "training scaler must hold col_min and col_max, two equal-length lists"),
+    ], ids=["list_report", "narrow_scaler", "missing_col_max", "nan_col_max"])
+    def test_malformed_train_report_is_validation_error(self, workspace, built,
+                                                        tmp_path, capsys, mutate,
+                                                        message):
+        model = tmp_path / "model"
+        shutil.copytree(built["model"], model)
+        report = json.loads((model / "train_report.json").read_text())
+        (model / "train_report.json").write_text(json.dumps(mutate(report)))
+        rc = cli.main(["evaluate", "--config", workspace["config"],
+                       "--model", str(model), "--graph", built["graph"],
+                       "--out", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_VALIDATION
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_narrow_graph_scaler_is_validation_error(self, workspace, built,
+                                                     tmp_path, capsys):
+        doc = json.load(open(built["graph"]))
+        doc["meta"]["scaler"] = {"col_min": [0.0] * 3, "col_max": [1.0] * 3}
+        graph = tmp_path / "narrow.json"
+        graph.write_text(json.dumps(doc))
+        rc = cli.main(["evaluate", "--config", workspace["config"],
+                       "--model", built["model"], "--graph", str(graph),
+                       "--out", str(tmp_path / "report.json")])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: graph scaler has 3 columns, but the graph has 10 feature columns\n")
+
 
 def per_head_layout(doc):
     """The checkpoint layout that stored every attention head under its own name."""

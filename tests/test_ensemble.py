@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vibgraph import ensemble as en
 
@@ -106,6 +107,86 @@ class TestSseSplit:
         assert split is None
 
 
+def loop_gini_gain(left, right, nl, nr, total, n):
+    gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
+    gini_r = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
+    parent = 1.0 - ((total / n) ** 2).sum()
+    return parent - (nl * gini_l + nr * gini_r) / n
+
+
+def loop_best_split(X, Y, feat_ids, gain, min_gain):
+    """The split scan as one argsort and one gain vector per feature, the
+    reference the whole-matrix scan must reproduce exactly."""
+    n = len(X)
+    total = Y.sum(axis=0)
+    best = (None, 0.0, min_gain)
+    for f in feat_ids:
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        cum = np.cumsum(Y[order], axis=0)
+        valid = np.flatnonzero(xs[:-1] < xs[1:])
+        if len(valid) == 0:
+            continue
+        nl = (valid + 1).astype(np.float64)
+        left = cum[valid]
+        g = gain(left, total - left, nl, n - nl, total, n)
+        k = int(np.argmax(g))
+        if g[k] > best[2]:
+            best = (f, 0.5 * (xs[valid[k]] + xs[valid[k] + 1]), float(g[k]))
+    return best if best[0] is not None else None
+
+
+@st.composite
+def split_problems(draw):
+    """A node: n rows (bootstrap-style repeats, integer features that tie
+    gains, or normal ones), a 1-D target or a one-hot one of C classes, and a
+    shuffled subset of features."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 6))
+    classes = draw(st.sampled_from([None, 2, 3, 10]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        X = rng.integers(0, draw(st.integers(1, 4)), (n, d)).astype(float)
+    else:
+        X = rng.normal(size=(n, d))
+    if draw(st.booleans()):                                  # repeated rows
+        X = X[rng.integers(0, max(1, n // 2), n)]
+    if classes is None:
+        Y = (rng.integers(-2, 3, n).astype(float) if draw(st.booleans())
+             else rng.normal(size=n))
+        gain, min_gain = en._sse_gain, 1e-12
+    else:
+        Y = np.eye(classes)[rng.integers(0, classes, n)]
+        gain, min_gain = en._gini_gain, -1e-12
+    feat_ids = rng.permutation(d)[:draw(st.integers(1, d))]
+    return X, Y, feat_ids, gain, min_gain
+
+
+def oracle_gain(gain):
+    return loop_gini_gain if gain is en._gini_gain else gain
+
+
+class TestWholeMatrixScan:
+    @settings(max_examples=300, deadline=None)
+    @given(split_problems())
+    def test_matches_per_feature_loop(self, problem):
+        X, Y, feat_ids, gain, min_gain = problem
+        got = en._best_split(X, Y, feat_ids, gain, min_gain)
+        want = loop_best_split(X, Y, feat_ids, oracle_gain(gain), min_gain)
+        assert got == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(split_problems(), st.integers(0, 2 ** 32 - 1))
+    def test_presorted_node_scan_matches_node_sort(self, problem, seed):
+        X, Y, _, gain, min_gain = problem
+        rng = np.random.default_rng(seed)
+        rows = np.sort(rng.choice(len(X), size=rng.integers(1, len(X) + 1),
+                                  replace=False))
+        got = en._presorted_split(X, gain, min_gain)(Y, rows)
+        assert got == en._best_split(X[rows], Y[rows], range(X.shape[1]), gain,
+                                     min_gain)
+
+
 class TestTreeStatesPinned:
     # sha256 of json.dumps(state, sort_keys=True), recorded before the forest
     # and the boosters shared one split scan and one grower. Integer features
@@ -122,17 +203,37 @@ class TestTreeStatesPinned:
             "7ba6fd755819ea379807030e44a1224b2ce34701618b147cf29ffb488bab1ee0",
     }
 
+    # the same three learners on normal features, recorded before the split
+    # scan ran over all features of a node at once
+    PINNED_NORMAL = {
+        "random_forest":
+            "6cd1c94cb3dc13db7b3ca1f01766892ee9565e944adf71bd5dea790679792e01",
+        "gradient_boosting":
+            "ab0e8671e09fc2a56f38499c4cb16c2b21e8762e051f29eaf2f437cc7fa8577f",
+        "regularized_boosting":
+            "990b78f7c02e889516038c03ba3cd62c41850891af36649b6ccdec024586e00f",
+    }
+
+    @staticmethod
+    def state_hashes(X, y, seed):
+        models = [en.train_random_forest(X, y, n_trees=20, seed=seed),
+                  en.train_gradient_boosting(X, y, n_rounds=8),
+                  en.train_regularized_boosting(X, y, n_rounds=8)]
+        return {m.kind: hashlib.sha256(
+                    json.dumps(m.state(), sort_keys=True).encode()).hexdigest()
+                for m in models}
+
     def test_states_unchanged(self):
         rng = np.random.default_rng(1)
         X = rng.integers(0, 5, (150, 8)).astype(float)
         y = rng.integers(0, 10, 150)
-        models = [en.train_random_forest(X, y, n_trees=20, seed=1),
-                  en.train_gradient_boosting(X, y, n_rounds=8),
-                  en.train_regularized_boosting(X, y, n_rounds=8)]
-        got = {m.kind: hashlib.sha256(
-                   json.dumps(m.state(), sort_keys=True).encode()).hexdigest()
-               for m in models}
-        assert got == self.PINNED
+        assert self.state_hashes(X, y, seed=1) == self.PINNED
+
+    def test_normal_feature_states_unchanged(self):
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(150, 8))
+        y = rng.integers(0, 3, 150)
+        assert self.state_hashes(X, y, seed=2) == self.PINNED_NORMAL
 
 
 class TestRandomForest:

@@ -120,7 +120,7 @@ class TestMinMaxScaler:
     def test_round_trip_serialization(self):
         M = np.random.default_rng(5).normal(size=(10, 3))
         _, scaler = ft.minmax_normalize(M)
-        clone = ft.MinMaxScaler.from_dict(scaler.to_dict())
+        clone = ft.MinMaxScaler(**scaler.to_dict())
         held_out = np.random.default_rng(6).normal(size=(4, 3))
         np.testing.assert_array_equal(scaler.transform(held_out),
                                       clone.transform(held_out))
