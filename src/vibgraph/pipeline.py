@@ -255,16 +255,16 @@ def save_model_dir(out_dir: str, model: TrainedGAE, ens: EnsembleModel,
                       json.dumps(report, indent=1, sort_keys=True))
 
 
-def _scaler(doc, whose, width=None) -> MinMaxScaler:
+def _scaler(doc, whose, width) -> MinMaxScaler:
     """The scaler a JSON object describes, checked: ``col_min`` and ``col_max``
-    are two equal-length lists of finite numbers, ``width`` long when given."""
+    are two lists of ``width`` finite numbers."""
     doc = doc if isinstance(doc, dict) else {}
     col_min, col_max = doc.get("col_min"), doc.get("col_max")
     n = len(col_min) if isinstance(col_min, list) else -1
     if not (_finite_list(col_min, n) and _finite_list(col_max, n)):
         raise ValueError(f"{whose} scaler must hold col_min and col_max, two "
                          f"equal-length lists of finite numbers")
-    if width is not None and n != width:
+    if n != width:
         raise ValueError(f"{whose} scaler has {n} columns, but the graph has "
                          f"{width} feature columns")
     return MinMaxScaler(col_min, col_max)
@@ -278,7 +278,6 @@ def load_model_dir(model_dir: str):
         report = json.load(fh)
     if not isinstance(report, dict):
         raise ValueError(f"{path}: the train report must be a JSON object")
-    _scaler(report.get("scaler"), f"{path}: training")
     return model, ens, report
 
 
