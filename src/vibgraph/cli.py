@@ -107,7 +107,7 @@ def cmd_dtw_heatmap(args):
     seg_values = graph.meta.get("segments")
     if seg_values is None:
         raise ValueError(f"{args.graph}: meta carries no segment values")
-    D = pairwise_distances(seg_values).full_matrix()
+    D = pairwise_distances(seg_values)
     lines = [",".join(repr(float(x)) for x in row) for row in D]
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"{D.shape[0]}x{D.shape[1]} distance matrix -> {args.out}")

@@ -57,19 +57,32 @@ def read_manifest(path: str,
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(
                 f"manifest {path} must have header columns {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            fault_class = int(row["fault_class"])
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            empty = [key for key in reader.fieldnames
+                     if key and not (row[key] or "").strip()]
+            if empty:
+                raise ValueError(f"{where}: no value for {', '.join(empty)}")
+            channel = _int_field(where, row, "channel")
+            fault_class = _int_field(where, row, "fault_class")
+            if channel < 0:
+                raise ValueError(f"{where}: channel must be >= 0, got {channel}")
             if not 0 <= fault_class < n_classes:
                 raise ValueError(
-                    f"{path}:{lineno}: fault_class {fault_class} outside "
-                    f"[0, {n_classes})")
-            entries.append(ManifestEntry(file=row["file"],
-                                         channel=int(row["channel"]),
+                    f"{where}: fault_class {fault_class} outside [0, {n_classes})")
+            entries.append(ManifestEntry(file=row["file"], channel=channel,
                                          fault_class=fault_class,
                                          load_tag=row["load_tag"]))
     if not entries:
         raise ValueError(f"manifest {path} lists no recordings")
     return entries
+
+
+def _int_field(where: str, row: dict, key: str) -> int:
+    try:
+        return int(row[key])
+    except ValueError:
+        raise ValueError(f"{where}: {key} must be an integer, got {row[key]!r}") from None
 
 
 def _read_samples(path: str, channel: int) -> np.ndarray:

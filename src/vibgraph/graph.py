@@ -44,31 +44,6 @@ class PairBudgetError(RuntimeError):
     pass
 
 
-@dataclass
-class PairwiseDistances:
-    """Condensed upper-triangular store of all m*(m-1)/2 DTW distances."""
-
-    m: int
-    condensed: np.ndarray
-
-    def index(self, i: int, j: int) -> int:
-        if i == j:
-            raise IndexError("no self-distance stored")
-        if i > j:
-            i, j = j, i
-        return i * self.m - (i * (i + 1)) // 2 + (j - i - 1)
-
-    def get(self, i: int, j: int) -> float:
-        return float(self.condensed[self.index(i, j)])
-
-    def full_matrix(self) -> np.ndarray:
-        out = np.zeros((self.m, self.m))
-        iu = np.triu_indices(self.m, k=1)
-        out[iu] = self.condensed
-        out[(iu[1], iu[0])] = self.condensed
-        return out
-
-
 def _batched_dtw_equal_length(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """DTW distances for P aligned pairs of equal-length sequences.
 
@@ -89,10 +64,10 @@ def _batched_dtw_equal_length(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return D[:, w, w]
 
 
-def pairwise_distances(values, max_pairs_budget: int = DEFAULT_PAIR_BUDGET) -> PairwiseDistances:
-    """All-pairs DTW distances between the rows of an m x w window matrix,
-    condensed. Fails loudly if the pair count exceeds the budget rather than
-    silently subsampling."""
+def pairwise_distances(values, max_pairs_budget: int = DEFAULT_PAIR_BUDGET) -> np.ndarray:
+    """All-pairs DTW distances between the rows of an m x w window matrix, as
+    the symmetric m x m matrix with a zero diagonal. Fails loudly if the pair
+    count exceeds the budget rather than silently subsampling."""
     try:
         values = np.asarray(values, dtype=np.float64)
     except ValueError:          # rows of different lengths
@@ -108,23 +83,25 @@ def pairwise_distances(values, max_pairs_budget: int = DEFAULT_PAIR_BUDGET) -> P
             f"{n_pairs} segment pairs exceed the budget of {max_pairs_budget}; "
             "raise the segmentation stride or cap the segment count")
 
-    condensed = np.empty(n_pairs)
+    D = np.zeros((m, m))
     ii, jj = np.triu_indices(m, k=1)
     for lo in range(0, n_pairs, _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, n_pairs)
-        condensed[lo:hi] = _batched_dtw_equal_length(values[ii[lo:hi]], values[jj[lo:hi]])
-    return PairwiseDistances(m=m, condensed=condensed)
+        i, j = ii[lo:lo + _PAIR_CHUNK], jj[lo:lo + _PAIR_CHUNK]
+        D[i, j] = D[j, i] = _batched_dtw_equal_length(values[i], values[j])
+    return D
 
 
-def threshold_from_percentile(distances, pct: float) -> float:
-    """Edge threshold as a percentile (linear interpolation) of observed distances."""
+def threshold_from_percentile(D, pct: float) -> float:
+    """Edge threshold as a percentile (linear interpolation) of the m(m-1)/2
+    distances above the diagonal of the m x m matrix ``D``."""
     if not 0 < pct <= 100:
         raise ValueError("pct must be in (0, 100]")
-    arr = distances.condensed if isinstance(distances, PairwiseDistances) \
-        else np.asarray(distances, dtype=np.float64)
-    if arr.size == 0:
+    D = np.asarray(D, dtype=np.float64)
+    if D.ndim != 2 or D.shape[0] != D.shape[1]:
+        raise ValueError("threshold_from_percentile needs a square distance matrix")
+    if len(D) < 2:
         raise ValueError("no distances to take a percentile of")
-    return float(np.percentile(arr, pct))
+    return float(np.percentile(D[np.triu_indices(len(D), k=1)], pct))
 
 
 Neighbors = namedtuple("Neighbors", "indptr rows cols perm")
@@ -167,9 +144,9 @@ class FaultGraph:
         return np.diff(self.neighbors().indptr) - 1
 
 
-def build_graph(features, labels, theta: float, distances: PairwiseDistances,
-                meta: dict | None = None) -> FaultGraph:
-    """Connect every segment pair with DTW distance strictly below ``theta``.
+def build_graph(features, labels, theta: float, D, meta: dict | None = None) -> FaultGraph:
+    """Connect every segment pair whose entry in the m x m DTW distance
+    matrix ``D`` is strictly below ``theta``.
 
     Nodes left isolated by the threshold get one fallback edge to their
     nearest DTW neighbor so message passing reaches every node.
@@ -179,17 +156,19 @@ def build_graph(features, labels, theta: float, distances: PairwiseDistances,
     m = features.shape[0]
     if m < 2:
         raise ValueError("build_graph needs at least 2 segments")
-    if not (m == len(labels) == distances.m):
+    D = np.asarray(D, dtype=np.float64)
+    if m != len(labels) or D.shape != (m, m):
         raise ValueError(
             f"row counts disagree: {m} feature rows, {len(labels)} labels, "
-            f"{distances.m} segments in the distance store")
+            f"distance matrix of shape {D.shape}")
 
-    D = distances.full_matrix()
-    np.fill_diagonal(D, np.inf)
     linked = D < theta
+    np.fill_diagonal(linked, False)
     # fallback for isolated nodes: one edge to the nearest DTW neighbor
     isolated = np.flatnonzero(~linked.any(axis=1))
-    nearest = np.argmin(D[isolated], axis=1)
+    rows = D[isolated]
+    rows[np.arange(len(isolated)), isolated] = np.inf
+    nearest = np.argmin(rows, axis=1)
     linked[isolated, nearest] = linked[nearest, isolated] = True
     i, j = np.nonzero(np.triu(linked, 1))
     edges = list(zip(i.tolist(), j.tolist(), similarity(D[i, j]).tolist()))
@@ -225,15 +204,31 @@ def save_graph(graph: FaultGraph, path: str) -> None:
     atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True))
 
 
+def _numbers(path, doc, key) -> np.ndarray:
+    """``doc[key]`` as an array of JSON numbers, of any shape."""
+    try:
+        arr = np.asarray(doc[key])
+    except ValueError:          # rows of different lengths
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValueError(f"{path}: {key} must be a regular array of numbers")
+    return arr
+
+
 def load_graph(path: str) -> FaultGraph:
     """Read a graph file; one that no stage could use raises ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not {"features", "labels", "edges"} <= doc.keys():
         raise ValueError(f"{path}: need a JSON object with features, labels and edges")
-    features = np.asarray(doc["features"], dtype=np.float64)
-    labels = np.asarray(doc["labels"])
-    edges = np.asarray(doc["edges"] or np.empty((0, 3)), dtype=np.float64)
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: meta must be a JSON object")
+    features = _numbers(path, doc, "features").astype(np.float64, copy=False)
+    labels = _numbers(path, doc, "labels")
+    edges = _numbers(path, doc, "edges").astype(np.float64, copy=False)
+    if edges.shape == (0,):     # no edges at all
+        edges = edges.reshape(0, 3)
     if features.ndim != 2 or not np.isfinite(features).all():
         raise ValueError(f"{path}: features must be a finite 2-D matrix")
     m = len(features)
@@ -254,5 +249,5 @@ def load_graph(path: str) -> FaultGraph:
         node_labels=labels.astype(np.int64),
         edges=list(zip(lo.astype(np.int64).tolist(),
                        hi.astype(np.int64).tolist(), weight.tolist())),
-        meta=doc.get("meta", {}),
+        meta=meta,
     )

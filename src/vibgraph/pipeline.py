@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import operator
 import os
 from dataclasses import asdict
@@ -59,12 +60,16 @@ class ConfigError(ValueError):
 
 
 def _parse_value(raw: str):
+    """A scalar, or a flat list of scalars; lists do not nest."""
     raw = raw.strip()
     if raw.startswith("[") and raw.endswith("]"):
         inner = raw[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_value(tok) for tok in inner.split(",")]
+        return [_parse_scalar(tok) for tok in inner.split(",")] if inner else []
+    return _parse_scalar(raw)
+
+
+def _parse_scalar(raw: str):
+    raw = raw.strip()
     if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
         return raw[1:-1]
     if raw in ("true", "false"):
@@ -95,8 +100,11 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         value = _parse_value(raw)
         default = DEFAULT_CONFIG[key]
-        if isinstance(default, float) and isinstance(value, int):
-            value = float(value)
+        if isinstance(default, float) and type(value) is int:
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ConfigError(f"line {lineno}: {key} must be finite") from None
         if type(value) is not type(default):
             raise ConfigError(
                 f"line {lineno}: key {key!r} expects {type(default).__name__}")
@@ -117,6 +125,9 @@ def _check_settings(cfg):
     """Raise a one-line ConfigError naming the first setting out of range:
     graph and ingestion settings here, model and ensemble settings by the
     checks of the modules that consume them."""
+    for key, value in cfg.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     for key, op, bound in _BOUNDS:
         if not _COMPARE[op](cfg[key], bound):
             raise ConfigError(f"{key} must be {op} {bound}, got {cfg[key]!r}")

@@ -70,6 +70,13 @@ BAD_SETTINGS = [
     ("n_classes = 1", "n_classes must be >= 2, got 1"),
     ("sampling_rate = 0", "sampling_rate must be > 0, got 0.0"),
     ('reducer = "median"', "reducer must be one of ['first', 'mean', 'rms']"),
+    ("learning_rate = inf", "learning_rate must be finite, got inf"),
+    ("kl_weight = inf", "kl_weight must be finite, got inf"),
+    ("gb_lr = inf", "gb_lr must be finite, got inf"),
+    ("mlp_lr = inf", "mlp_lr must be finite, got inf"),
+    ("xgb_l2 = inf", "xgb_l2 must be finite, got inf"),
+    ("theta_percentile = nan", "theta_percentile must be finite, got nan"),
+    ("kl_weight = true", "key 'kl_weight' expects float"),
 ]
 
 
@@ -139,7 +146,8 @@ class TestTrain:
          "0 <= i < j"),
         (lambda doc: doc["features"][3].__setitem__(2, float("nan")), "finite"),
         (lambda doc: doc.pop("labels"), "need a JSON object"),
-    ], ids=["out_of_range_edge", "nan_feature", "missing_labels"])
+        (lambda doc: doc.__setitem__("meta", []), "meta must be a JSON object"),
+    ], ids=["out_of_range_edge", "nan_feature", "missing_labels", "meta_not_object"])
     def test_malformed_graph_is_validation_error(self, workspace, built,
                                                  tmp_path, capsys, breaks, says):
         doc = json.load(open(built["graph"]))

@@ -48,6 +48,28 @@ class TestReadManifest:
         with pytest.raises(ValueError):
             dt.read_manifest(path)
 
+    def test_unnamed_column_may_stay_empty(self, tmp_path):
+        # a trailing comma on the header adds a column with no name
+        path = tmp_path / "manifest.csv"
+        path.write_text("file,channel,fault_class,load_tag,\na.csv,0,1,loadA\n")
+        assert dt.read_manifest(str(path))[0].load_tag == "loadA"
+
+    @pytest.mark.parametrize("row, says", [
+        ("short_row", "no value for channel, fault_class, load_tag"),
+        ("a.csv,0,1", "no value for load_tag"),
+        ("a.csv,,1,loadA", "no value for channel"),
+        ("a.csv,-1,1,loadA", "channel must be >= 0, got -1"),
+        ("a.csv,x,1,loadA", "channel must be an integer, got 'x'"),
+        ("a.csv,0,1.5,loadA", "fault_class must be an integer, got '1.5'"),
+    ], ids=["one_field", "no_load_tag", "empty_channel", "negative_channel",
+            "channel_not_integer", "class_not_integer"])
+    def test_bad_row_names_its_line(self, tmp_path, row, says):
+        path = write_manifest(tmp_path, ["good.csv,0,1,loadA", row])
+        with pytest.raises(ValueError) as info:
+            dt.read_manifest(path)
+        message = str(info.value)
+        assert message == f"{path}:3: {says}" and "\n" not in message
+
 
 class TestLoadRecordings:
     def test_csv_channel_selection(self, tmp_path):

@@ -7,6 +7,7 @@ itself.
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -101,22 +102,20 @@ class TestSimilarity:
 
 
 class TestPairwiseDistances:
-    def test_condensed_indexing_round_trip(self):
+    def test_matrix_is_symmetric(self):
         arrays = [np.arange(4.0) + k for k in range(5)]
-        pd = gr.pairwise_distances(segs(arrays))
-        full = pd.full_matrix()
-        for i, j in itertools.combinations(range(5), 2):
-            assert pd.get(i, j) == full[i, j] == full[j, i]
-            assert pd.get(j, i) == pd.get(i, j)
+        D = gr.pairwise_distances(segs(arrays))
+        assert D.shape == (5, 5)
+        np.testing.assert_array_equal(D, D.T)
 
     def test_values_match_direct_dtw(self, monkeypatch):
         rng = np.random.default_rng(3)
         arrays = [rng.normal(size=6) for _ in range(6)]
         with monkeypatch.context() as patch:     # the batched kernel alone
             patch.setattr(gr, "dtw_distance", None)
-            pd = gr.pairwise_distances(segs(arrays))
+            D = gr.pairwise_distances(segs(arrays))
         for i, j in itertools.combinations(range(6), 2):
-            assert pd.get(i, j) == pytest.approx(gr.dtw_distance(arrays[i], arrays[j]))
+            assert D[i, j] == pytest.approx(gr.dtw_distance(arrays[i], arrays[j]))
 
     def test_ragged_input_rejected(self):
         # windows of different lengths, and a 1-D array, are no m x w matrix
@@ -130,24 +129,35 @@ class TestPairwiseDistances:
             gr.pairwise_distances(segs(arrays), max_pairs_budget=44)
 
     def test_no_self_distance(self):
-        pd = gr.pairwise_distances(segs([np.arange(4.0)] * 3))
-        with pytest.raises(IndexError):
-            pd.index(1, 1)
+        # the diagonal is zero, also between rows that differ
+        D = gr.pairwise_distances(segs([np.arange(4.0) + k for k in range(3)]))
+        np.testing.assert_array_equal(D.diagonal(), 0.0)
+        assert (D[~np.eye(3, dtype=bool)] > 0).all()
 
 
 class TestThreshold:
     def test_median_of_known_values(self):
-        assert gr.threshold_from_percentile([1.0, 2.0, 3.0], 50.0) == 2.0
+        D = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+        assert gr.threshold_from_percentile(D, 50.0) == 2.0
 
     def test_percentile_range_validated(self):
+        D = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
-            gr.threshold_from_percentile([1.0], 0.0)
+            gr.threshold_from_percentile(D, 0.0)
         with pytest.raises(ValueError):
-            gr.threshold_from_percentile([1.0], 101.0)
+            gr.threshold_from_percentile(D, 101.0)
 
-    def test_accepts_condensed_store(self):
-        pd = gr.PairwiseDistances(m=3, condensed=np.array([1.0, 2.0, 3.0]))
-        assert gr.threshold_from_percentile(pd, 100.0) == 3.0
+    def test_reads_upper_triangle_only(self):
+        # read whole, the zero diagonal and the 9s below it would pull the
+        # 25th and 100th percentiles to 0 and 9
+        D = np.array([[0.0, 1.0, 2.0], [9.0, 0.0, 3.0], [9.0, 9.0, 0.0]])
+        assert gr.threshold_from_percentile(D, 25.0) == 1.5
+        assert gr.threshold_from_percentile(D, 100.0) == 3.0
+
+    def test_needs_a_square_matrix(self):
+        for D in ([1.0, 2.0, 3.0], np.zeros((2, 3)), np.zeros((1, 1))):
+            with pytest.raises(ValueError):
+                gr.threshold_from_percentile(D, 50.0)
 
 
 class TestBuildGraph:
@@ -178,9 +188,8 @@ class TestBuildGraph:
         distances = gr.pairwise_distances(s)
         g = gr.build_graph(np.zeros((3, 1)), [0, 0, 0], 2.0, distances)
         # no distance < 2.0, so only nearest-neighbor fallback edges remain
-        d = distances.full_matrix()
         for i, j, _ in g.edges:
-            assert d[i, j] == 2.0
+            assert distances[i, j] == 2.0
 
     def test_isolated_node_gets_fallback_edge(self):
         s = segs([[0.0], [0.1], [50.0]])
@@ -226,30 +235,39 @@ class TestBuildGraph:
 
     def test_single_segment_rejected(self):
         with pytest.raises(ValueError):
-            gr.build_graph(np.zeros((1, 1)), [0], 1.0,
-                           gr.PairwiseDistances(m=1, condensed=np.empty(0)))
+            gr.build_graph(np.zeros((1, 1)), [0], 1.0, np.zeros((1, 1)))
 
     def test_row_counts_must_agree(self):
         d = gr.pairwise_distances(segs([[0.0], [1.0], [2.0]]))
         with pytest.raises(ValueError, match="row counts disagree"):
             gr.build_graph(np.zeros((2, 1)), [0, 0], 1.0, d)
+        for D in (d[:2], d.ravel(), np.zeros((3, 3))):    # not 2 x 2
+            with pytest.raises(ValueError, match="row counts disagree"):
+                gr.build_graph(np.zeros((2, 1)), [0, 0], 1.0, D)
+
+    def test_distance_matrix_left_unchanged(self):
+        # node 2 is isolated, so its row is searched for the nearest neighbour
+        D = gr.pairwise_distances(segs([[0.0], [0.1], [50.0]]))
+        before = D.copy()
+        gr.build_graph(np.zeros((3, 1)), [0, 0, 1], 1.0, D)
+        np.testing.assert_array_equal(D, before)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_pairwise_loop(self, seed):
         # the rule spelled out pair by pair; small integer distances force ties
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 12))
-        d = gr.PairwiseDistances(m=m, condensed=rng.integers(0, 6, m * (m - 1) // 2)
-                                 .astype(float))
+        D = np.zeros((m, m))
+        D[np.triu_indices(m, k=1)] = rng.integers(0, 6, m * (m - 1) // 2)
+        D += D.T
         theta = float(rng.integers(0, 5))
-        D = d.full_matrix()
         linked = {(i, j) for i in range(m) for j in range(i + 1, m) if D[i, j] < theta}
         isolated = [i for i in range(m) if not any(i in pair for pair in linked)]
         for i in isolated:
             j = min((k for k in range(m) if k != i), key=lambda k: (D[i, k], k))
             linked.add((min(i, j), max(i, j)))
         expect = [(i, j, gr.similarity(D[i, j])) for i, j in sorted(linked)]
-        g = gr.build_graph(np.zeros((m, 1)), [0] * m, theta, d)
+        g = gr.build_graph(np.zeros((m, 1)), [0] * m, theta, D)
         assert g.edges == expect
 
     def test_edges_sorted_i_less_j(self):
@@ -305,6 +323,13 @@ class TestGraphIO:
         ("edges", MISSING),
         (None, [[0.1, 0.2], [0.3, 0.4]]),   # top level not an object
         ("edges", [[0, 1, 0.5], [0, 1, 0.9], [1, 2, 1.0]]),   # (0, 1) twice
+        ("meta", []),                       # meta not an object
+        ("edges", {"a": 1}),
+        ("edges", [[0, 1, {}]]),
+        ("features", {"a": [0.1, 0.2]}),
+        ("features", [[0.1, 0.2], [0.3], [0.5, 0.6]]),       # ragged
+        ("features", [["0.1", "0.2"], ["0.3", "0.4"], ["0.5", "0.6"]]),
+        ("edges", None),
     ])
     def test_malformed_file_rejected(self, tmp_path, key, value):
         doc = {"meta": {}, "features": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]],
@@ -316,7 +341,7 @@ class TestGraphIO:
         if value is MISSING:
             del broken[key]
         path.write_text(json.dumps(broken))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             gr.load_graph(str(path))
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):

@@ -51,6 +51,17 @@ class TestConfigParsing:
         with pytest.raises(pl.ConfigError):
             pl.parse_config_text("epochs = \"fifty\"\n")
 
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(pl.ConfigError, match="learning_rate must be finite"):
+            pl.parse_config_text("learning_rate = 1" + "0" * 400 + "\n")
+
+    def test_nested_list_is_a_config_error(self, tmp_path):
+        # lists do not nest, so deep brackets cannot exhaust the parser's stack
+        path = tmp_path / "c.toml"
+        path.write_text("candidate_windows = " + "[" * 2000 + "8" + "]" * 2000 + "\n")
+        with pytest.raises(pl.ConfigError, match="candidate_windows"):
+            pl.load_config(str(path))
+
     def test_malformed_line_rejected(self):
         with pytest.raises(pl.ConfigError):
             pl.parse_config_text("epochs 50\n")
