@@ -350,11 +350,13 @@ def _load_param(path, name, rec, shape) -> Tensor:
 
 def load_model(path: str) -> TrainedGAE:
     """Read a checkpoint; one whose config or parameters do not match
-    ``GaeConfig`` and ``param_shapes`` raises a one-line ValueError."""
+    ``GaeConfig`` and ``param_shapes`` raises a one-line ValueError. The
+    training curves and diagnostics it stores are not read back: nothing
+    uses them after a load, so the model keeps their empty defaults."""
     with open(path) as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or not {"config", "params", "curves"} <= doc.keys():
-        raise ValueError(f"{path}: need a JSON object with config, params and curves")
+    if not isinstance(doc, dict) or not {"config", "params"} <= doc.keys():
+        raise ValueError(f"{path}: need a JSON object with config and params")
     cfg, recs = doc["config"], doc["params"]
     defaults = asdict(GaeConfig())
     _check_keys(path, "config keys must be GaeConfig's fields", cfg, defaults)
@@ -371,9 +373,8 @@ def load_model(path: str) -> TrainedGAE:
             isinstance(v, list) and all(type(i) is int and i >= 0 for i in v)
             for v in split.values())):
         raise ValueError(f"{path}: split must map train/val/test to lists of integers >= 0")
-    return TrainedGAE(params=params, config=config, curves=doc["curves"],
-                      split={k: np.asarray(v, dtype=np.int64) for k, v in split.items()},
-                      diagnostics=doc.get("diagnostics", {}))
+    return TrainedGAE(params=params, config=config,
+                      split={k: np.asarray(v, dtype=np.int64) for k, v in split.items()})
 
 
 def save_loss_curves(model: TrainedGAE, path: str) -> None:

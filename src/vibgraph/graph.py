@@ -48,20 +48,24 @@ def _batched_dtw_equal_length(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """DTW distances for P aligned pairs of equal-length sequences.
 
     A, B have shape (P, w). The DP runs over the w x w grid with the pair
-    axis vectorized.
+    axis vectorized and stored last, so each cell update reads and writes
+    contiguous P-vectors; per cell it takes the same minima in the same
+    order as ``dtw_distance``, so the results are bit-identical to it.
     """
     P, w = A.shape
-    cost = np.abs(A[:, :, None] - B[:, None, :])
-    D = np.full((P, w + 1, w + 1), np.inf)
-    D[:, 0, 0] = 0.0
+    At, Bt = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
+    cost = At[:, None, :] - Bt[None, :, :]
+    np.abs(cost, out=cost)
+    D = np.full((w + 1, w + 1, P), np.inf)
+    D[0, 0] = 0.0
+    t = np.empty(P)
     for i in range(1, w + 1):
-        c = cost[:, i - 1]
-        prev = D[:, i - 1]
-        cur = D[:, i]
+        c, prev, cur = cost[i - 1], D[i - 1], D[i]
         for j in range(1, w + 1):
-            cur[:, j] = c[:, j - 1] + np.minimum(
-                np.minimum(prev[:, j], cur[:, j - 1]), prev[:, j - 1])
-    return D[:, w, w]
+            np.minimum(prev[j], cur[j - 1], out=t)
+            np.minimum(t, prev[j - 1], out=t)
+            np.add(c[j - 1], t, out=cur[j])
+    return D[w, w]
 
 
 def pairwise_distances(values, max_pairs_budget: int = DEFAULT_PAIR_BUDGET) -> np.ndarray:

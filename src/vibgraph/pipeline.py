@@ -85,6 +85,22 @@ def _parse_scalar(raw: str):
     return raw
 
 
+def _typed(key, value):
+    """``value`` as the setting ``key`` takes it: an int is accepted for a
+    float setting; any other type than the default's is a ConfigError."""
+    if key not in DEFAULT_CONFIG:
+        raise ConfigError(f"unknown config key {key!r}")
+    default = DEFAULT_CONFIG[key]
+    if isinstance(default, float) and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{key} must be finite") from None
+    if type(value) is not type(default):
+        raise ConfigError(f"key {key!r} expects {type(default).__name__}")
+    return value
+
+
 def parse_config_text(text: str) -> dict:
     """Flat `key = value` config (TOML-compatible subset); unknown keys rejected."""
     cfg = dict(DEFAULT_CONFIG)
@@ -96,19 +112,10 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key not in DEFAULT_CONFIG:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        value = _parse_value(raw)
-        default = DEFAULT_CONFIG[key]
-        if isinstance(default, float) and type(value) is int:
-            try:
-                value = float(value)
-            except OverflowError:
-                raise ConfigError(f"line {lineno}: {key} must be finite") from None
-        if type(value) is not type(default):
-            raise ConfigError(
-                f"line {lineno}: key {key!r} expects {type(default).__name__}")
-        cfg[key] = value
+        try:
+            cfg[key] = _typed(key, _parse_value(raw))
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     return cfg
 
 
@@ -153,11 +160,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
         with open(path) as fh:
             cfg = parse_config_text(fh.read())
     for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in DEFAULT_CONFIG:
-            raise ConfigError(f"unknown config key {key!r}")
-        cfg[key] = value
+        if value is not None:
+            cfg[key] = _typed(key, value)
     _check_settings(cfg)
     return cfg
 

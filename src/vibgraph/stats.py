@@ -7,7 +7,6 @@ import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy import stats as sps
 
 from .graph import atomic_write_text
 
@@ -126,11 +125,15 @@ def evaluation_report(true_labels, predicted_labels, n_classes,
 
 
 # ---------------------------------------------------------------------------
-# significance tests
+# significance tests. scipy.stats is imported inside the functions that use
+# it: at module level it is most of the cost of importing vibgraph, which
+# every CLI command pays.
 
 
-def _two_sided_t_p(t, df):
-    return float(2.0 * sps.t.sf(abs(t), df))
+def _t_tail(t, df):
+    """P(T > |t|) for Student's t with ``df`` degrees of freedom."""
+    from scipy import stats as sps
+    return float(sps.t.sf(abs(t), df))
 
 
 def two_sample_ttest(sample_a, sample_b) -> TestResult:
@@ -152,7 +155,7 @@ def two_sample_ttest(sample_a, sample_b) -> TestResult:
     else:
         t = diff / np.sqrt(se2)
         df = se2 ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
-        p = _two_sided_t_p(t, df)
+        p = 2.0 * _t_tail(t, df)
     return TestResult(kind="two_sample_t", statistic=float(t), p_value=p,
                       significant_at_0_05=p < 0.05)
 
@@ -174,7 +177,7 @@ def paired_ttest(sample_a, sample_b) -> TestResult:
         tail = 0.5 if t == 0 else 0.0
     else:
         t = d.mean() / (sd / np.sqrt(n))
-        tail = float(sps.t.sf(abs(t), n - 1))
+        tail = _t_tail(t, n - 1)
     p = 2.0 * tail
     p_greater = tail if t >= 0 else 1.0 - tail
     return TestResult(kind="paired_t", statistic=float(t), p_value=p,
@@ -184,6 +187,7 @@ def paired_ttest(sample_a, sample_b) -> TestResult:
 
 
 def _signed_rank_parts(d):
+    from scipy import stats as sps
     d = d[d != 0]
     if d.size == 0:
         raise ValueError("all differences are zero; signed-rank test undefined")
@@ -236,6 +240,7 @@ def wilcoxon_signed_rank(sample_a, sample_b) -> TestResult:
         tie_term = ((tie_counts ** 3 - tie_counts).sum()) / 48.0
         var_w = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
         z = (w - mean_w) / np.sqrt(var_w)
+        from scipy import stats as sps
         p = float(min(1.0, 2.0 * sps.norm.cdf(z)))
         method = "normal_approx"
     return TestResult(kind="wilcoxon_signed_rank", statistic=float(w),

@@ -328,6 +328,24 @@ class TestModelFile:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("stored", [
+        {"curves": 5}, {"diagnostics": [1]}, {"curves": None, "diagnostics": "x"}],
+        ids=["curves_number", "diagnostics_list", "both_junk"])
+    def test_stored_curves_and_diagnostics_are_not_read(self, workspace, built,
+                                                        tmp_path, stored):
+        def evaluate(model_dir, name):
+            out = tmp_path / name
+            rc = cli.main(["evaluate", "--config", workspace["config"],
+                           "--model", str(model_dir), "--graph", built["graph"],
+                           "--out", str(out)])
+            assert rc == 0
+            return out.read_bytes()
+
+        model = tmp_path / "model"
+        shutil.copytree(built["model"], model)
+        doc = json.loads((model / "model.json").read_text())
+        (model / "model.json").write_text(json.dumps(dict(doc, **stored)))
+        assert evaluate(model, "junk.json") == evaluate(built["model"], "original.json")
 
     @pytest.mark.parametrize("mutate, message", [
         (lambda doc: forest_node(doc, leaf=False).update(feature=999),

@@ -79,3 +79,22 @@ def test_load_config_returns_finite_settings_or_raises_config_error(lines):
         assert all(math.isfinite(v) for v in cfg.values() if isinstance(v, float))
     finally:
         os.unlink(path)
+
+
+override_values = (json_values | st.floats() | st.integers()
+                   | st.lists(st.integers(-2, 40), max_size=3))
+overrides = st.dictionaries(
+    st.sampled_from(sorted(pl.DEFAULT_CONFIG)) | st.text(max_size=3), override_values, max_size=4)
+
+
+@FUZZ
+@given(over=overrides)
+def test_load_config_overrides_return_finite_settings_or_raise_config_error(over):
+    try:
+        cfg = pl.load_config(None, over)
+    except pl.ConfigError as exc:
+        assert "\n" not in str(exc)
+    else:
+        assert all(math.isfinite(v) for v in cfg.values() if isinstance(v, float))
+        for key, value in cfg.items():
+            assert type(value) is type(pl.DEFAULT_CONFIG[key])

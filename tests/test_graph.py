@@ -11,6 +11,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vibgraph import graph as gr
 
@@ -79,13 +81,30 @@ class TestDtwDistance:
 
 
 class TestBatchedDtw:
+    """The graph file's bytes depend on every distance, so the batched kernel
+    must equal the scalar one exactly, not approximately."""
+
     def test_matches_scalar_implementation(self):
         rng = np.random.default_rng(2)
         A = rng.normal(size=(20, 9))
         B = rng.normal(size=(20, 9))
         batched = gr._batched_dtw_equal_length(A, B)
         for k in range(20):
-            assert batched[k] == pytest.approx(gr.dtw_distance(A[k], B[k]))
+            assert batched[k] == gr.dtw_distance(A[k], B[k])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_equals_scalar_bit_for_bit(self, data):
+        w, P = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 60))
+        # a few distinct values, so that rows repeat values and min sees ties
+        pool = data.draw(st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, 0.1, 0.2, 0.3]),
+                                  min_size=1, max_size=5))
+        rows = hnp.arrays(np.float64, (P, w), elements=st.sampled_from(pool))
+        A, B = data.draw(rows), data.draw(rows)
+        same = data.draw(hnp.arrays(bool, P))
+        B[same] = A[same]
+        batched = gr._batched_dtw_equal_length(A, B)
+        assert batched.tolist() == [gr.dtw_distance(a, b) for a, b in zip(A, B)]
 
 
 class TestSimilarity:
@@ -116,6 +135,13 @@ class TestPairwiseDistances:
             D = gr.pairwise_distances(segs(arrays))
         for i, j in itertools.combinations(range(6), 2):
             assert D[i, j] == pytest.approx(gr.dtw_distance(arrays[i], arrays[j]))
+
+    def test_chunk_boundaries_do_not_change_values(self, monkeypatch):
+        # 21 pairs in chunks of 3: chunk boundaries fall inside rows of D
+        values = np.random.default_rng(4).normal(size=(7, 5))
+        whole = gr.pairwise_distances(values)
+        monkeypatch.setattr(gr, "_PAIR_CHUNK", 3)
+        assert np.array_equal(gr.pairwise_distances(values), whole)
 
     def test_ragged_input_rejected(self):
         # windows of different lengths, and a 1-D array, are no m x w matrix
