@@ -53,26 +53,29 @@ def read_manifest(path: str,
     entries = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        required = {"file", "channel", "fault_class", "load_tag"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(
-                f"manifest {path} must have header columns {sorted(required)}")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            empty = [key for key in reader.fieldnames
-                     if key and not (row[key] or "").strip()]
-            if empty:
-                raise ValueError(f"{where}: no value for {', '.join(empty)}")
-            channel = _int_field(where, row, "channel")
-            fault_class = _int_field(where, row, "fault_class")
-            if channel < 0:
-                raise ValueError(f"{where}: channel must be >= 0, got {channel}")
-            if not 0 <= fault_class < n_classes:
+        try:
+            required = {"file", "channel", "fault_class", "load_tag"}
+            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 raise ValueError(
-                    f"{where}: fault_class {fault_class} outside [0, {n_classes})")
-            entries.append(ManifestEntry(file=row["file"], channel=channel,
-                                         fault_class=fault_class,
-                                         load_tag=row["load_tag"]))
+                    f"manifest {path} must have header columns {sorted(required)}")
+            for row in reader:
+                where = f"{path}:{reader.line_num}"
+                empty = [key for key in reader.fieldnames
+                         if key and not (row[key] or "").strip()]
+                if empty:
+                    raise ValueError(f"{where}: no value for {', '.join(empty)}")
+                channel = _int_field(where, row, "channel")
+                fault_class = _int_field(where, row, "fault_class")
+                if channel < 0:
+                    raise ValueError(f"{where}: channel must be >= 0, got {channel}")
+                if not 0 <= fault_class < n_classes:
+                    raise ValueError(
+                        f"{where}: fault_class {fault_class} outside [0, {n_classes})")
+                entries.append(ManifestEntry(file=row["file"], channel=channel,
+                                             fault_class=fault_class,
+                                             load_tag=row["load_tag"]))
+        except csv.Error as exc:    # e.g. a field beyond csv.field_size_limit()
+            raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from None
     if not entries:
         raise ValueError(f"manifest {path} lists no recordings")
     return entries

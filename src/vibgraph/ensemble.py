@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import inspect
 import json
-import math
 from functools import partial
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .checks import exact_keys, is_finite_number, numbers, read_json
 from .graph import atomic_write_text
 
 ENSEMBLE_FORMAT_VERSION = 1
@@ -164,7 +164,7 @@ DEFAULT_HYPERPARAMS = {
 _HP = DEFAULT_HYPERPARAMS
 
 
-def _check_hyperparams(hp):
+def check_hyperparams(hp):
     """Raise ValueError naming the first setting out of range: cv_folds >= 2,
     rf_trees and mlp_hidden >= 1, learning rates > 0, all others >= 0."""
     for key in DEFAULT_HYPERPARAMS:
@@ -418,8 +418,9 @@ class EnsembleModel:
     def __init__(self, bases, weights, n_classes):
         if len(bases) != len(BASE_KINDS):
             raise ValueError("ensemble needs exactly four base classifiers")
-        weights = np.asarray(weights, dtype=np.float64)
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+        weights = numbers(weights, f"weights must be {len(BASE_KINDS)} numbers",
+                          shape=(len(BASE_KINDS),)).astype(np.float64)
+        if not ((weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-12):
             raise ValueError("weights must be non-negative and sum to 1")
         self.bases = list(bases)
         self.weights = weights
@@ -470,7 +471,7 @@ def stratified_folds(labels, n_folds, rng):
 def fit_ensemble(X, labels, hyperparams=None, seed=0) -> EnsembleModel:
     """Cross-validated weight fitting followed by a full-data refit of the bases."""
     hp = dict(DEFAULT_HYPERPARAMS, **(hyperparams or {}))
-    _check_hyperparams(hp)
+    check_hyperparams(hp)
     X = np.asarray(X, dtype=np.float64)
     labels, C = _check_labels(labels)
     rng = np.random.default_rng(seed)
@@ -505,31 +506,6 @@ def save_ensemble(model: EnsembleModel, path: str) -> None:
     atomic_write_text(path, json.dumps(doc, sort_keys=True))
 
 
-_SPLIT_KEYS = {"feature", "threshold", "left", "right"}
-
-
-def _finite(x):
-    return type(x) in (int, float) and math.isfinite(x)
-
-
-def _finite_list(x, n):
-    return isinstance(x, list) and len(x) == n and all(map(_finite, x))
-
-
-def _check_matrix(value, name, shape=None):
-    """``value`` as a 2-D float array of ``shape`` (any shape when None)."""
-    try:
-        a = np.asarray(value)
-    except ValueError:                  # ragged nested lists
-        a = np.asarray(None)
-    if (a.dtype.kind not in "iuf" or a.ndim != 2 or not np.isfinite(a).all()
-            or shape not in (None, a.shape)):
-        size = "" if shape is None else f"{shape[0]} x {shape[1]} "
-        raise ValueError(f"feed_forward_net {name} must be a {size}matrix of "
-                         f"finite numbers")
-    return a
-
-
 def _check_tree(tree, where, d, width):
     """Every node a leaf or a split on a feature in [0, d) at a finite
     threshold; a leaf holds ``width`` finite numbers, or one when None."""
@@ -539,16 +515,17 @@ def _check_tree(tree, where, d, width):
         keys = set(node) if isinstance(node, dict) else None
         if keys == {"value"}:
             v = node["value"]
-            if not (_finite(v) if width is None else _finite_list(v, width)):
+            if not (is_finite_number(v) if width is None else isinstance(v, list)
+                    and len(v) == width and all(map(is_finite_number, v))):
                 holds = ("one finite number" if width is None
                          else f"{width} finite numbers")
                 raise ValueError(f"{where} leaf must hold {holds}, got {v!r}")
-        elif keys == _SPLIT_KEYS:
+        elif keys == {"feature", "threshold", "left", "right"}:
             f, t = node["feature"], node["threshold"]
             if type(f) is not int or not 0 <= f < d:
                 raise ValueError(f"{where} split feature must be an integer in "
                                  f"[0, {d}), got {f!r}")
-            if not _finite(t):
+            if not is_finite_number(t):
                 raise ValueError(f"{where} split threshold must be finite, got {t!r}")
             stack += [node["left"], node["right"]]
         else:
@@ -565,11 +542,8 @@ def _check_ensemble_doc(doc):
     C = doc.get("n_classes")
     if type(C) is not int or C < 2:
         raise ValueError(f"ensemble n_classes must be an integer >= 2, got {C!r}")
-    if not _finite_list(doc.get("weights"), len(BASE_KINDS)):
-        raise ValueError(f"ensemble weights must be {len(BASE_KINDS)} finite numbers")
-    bases = doc.get("bases")
-    if not isinstance(bases, dict) or set(bases) != set(BASE_KINDS):
-        raise ValueError(f"ensemble bases must be exactly {list(BASE_KINDS)}")
+    bases = exact_keys(doc.get("bases"), BASE_KINDS,
+                       f"ensemble bases must be exactly {list(BASE_KINDS)}")
     for kind, learner in _LEARNERS.items():
         keys = set(inspect.signature(learner).parameters)
         s = bases[kind]
@@ -581,9 +555,11 @@ def _check_ensemble_doc(doc):
                              f"got {s['n_classes']!r}")
 
     mlp = bases["feed_forward_net"]
-    d, h = _check_matrix(mlp["W1"], "W1").shape
-    for name, shape in (("b1", (1, h)), ("W2", (h, C)), ("b2", (1, C))):
-        _check_matrix(mlp[name], name, shape)
+    d, h = numbers(mlp["W1"], "feed_forward_net W1 must be a matrix of finite numbers",
+                   shape=(None, None), finite=True).shape
+    for name, (rows, cols) in (("b1", (1, h)), ("W2", (h, C)), ("b2", (1, C))):
+        numbers(mlp[name], f"feed_forward_net {name} must be a {rows} x {cols} matrix "
+                f"of finite numbers", shape=(rows, cols), finite=True)
 
     forest = bases["random_forest"]["trees"]
     if not isinstance(forest, list) or not forest:
@@ -593,10 +569,10 @@ def _check_ensemble_doc(doc):
     for kind in ("gradient_boosting", "regularized_boosting"):
         s = bases[kind]
         lr = s["learning_rate"]
-        if not (_finite(lr) and lr > 0):
+        if not (is_finite_number(lr) and lr > 0):
             raise ValueError(f"{kind} learning_rate must be finite and > 0, got {lr!r}")
-        if not _finite_list(s["prior_scores"], C):
-            raise ValueError(f"{kind} prior_scores must be {C} finite numbers")
+        numbers(s["prior_scores"], f"{kind} prior_scores must be {C} finite numbers",
+                shape=(C,), finite=True)
         if not isinstance(s["trees"], list):
             raise ValueError(f"{kind} trees must be a list of rounds")
         for r, round_trees in enumerate(s["trees"]):
@@ -607,8 +583,7 @@ def _check_ensemble_doc(doc):
 
 
 def load_ensemble(path: str) -> EnsembleModel:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     _check_ensemble_doc(doc)
     bases = [_LEARNERS[kind](**doc["bases"][kind]) for kind in BASE_KINDS]
     return EnsembleModel(bases, doc["weights"], doc["n_classes"])

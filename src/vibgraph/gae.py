@@ -10,12 +10,14 @@ width 64 is not divisible by 10 heads, so concatenation cannot produce it).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .checks import exact_keys, numbers, read_json
 from .features import FEATURE_DIM
 from .graph import FaultGraph, Neighbors, atomic_write_text
 
@@ -320,57 +322,41 @@ def save_model(model: TrainedGAE, path: str) -> None:
     atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True))
 
 
-def _check_keys(path, what, doc, expected):
-    keys = set(doc) if isinstance(doc, dict) else set()
-    if keys != set(expected):
-        raise ValueError(f"{path}: {what} (unknown {sorted(keys - set(expected))[:2]}, "
-                         f"missing {sorted(set(expected) - keys)[:2]})")
-
-
-def _fits(value, default) -> bool:
-    """Whether a JSON value can stand for a GaeConfig field with this default."""
-    if isinstance(default, tuple):
-        return (isinstance(value, list) and len(value) == len(default)
-                and all(_fits(v, 0.0) for v in value))
-    return type(value) is int or (type(value) is float and isinstance(default, float))
-
-
-def _load_param(path, name, rec, shape) -> Tensor:
-    try:
-        values = np.asarray(rec["values"], dtype=np.float64).reshape(shape)
-        ok = rec["shape"] == list(shape)
-    except (TypeError, KeyError, ValueError):
-        ok = False
-    if not ok:
-        raise ValueError(f"{path}: parameter {name} must have shape {list(shape)}")
-    if not np.isfinite(values).all():
-        raise ValueError(f"{path}: parameter {name} holds non-finite values")
-    return Tensor(values, requires_grad=True)
-
-
 def load_model(path: str) -> TrainedGAE:
     """Read a checkpoint; one whose config or parameters do not match
     ``GaeConfig`` and ``param_shapes`` raises a one-line ValueError. The
     training curves and diagnostics it stores are not read back: nothing
     uses them after a load, so the model keeps their empty defaults."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict) or not {"config", "params"} <= doc.keys():
         raise ValueError(f"{path}: need a JSON object with config and params")
-    cfg, recs = doc["config"], doc["params"]
+    cfg, recs = doc["config"], doc["params"] if isinstance(doc["params"], dict) else {}
     defaults = asdict(GaeConfig())
-    _check_keys(path, "config keys must be GaeConfig's fields", cfg, defaults)
+    exact_keys(cfg, defaults, f"{path}: config keys must be GaeConfig's fields")
     for key, default in defaults.items():
-        if not _fits(cfg[key], default):
-            raise ValueError(f"{path}: config {key} has the wrong type")
-    config = GaeConfig(**dict(cfg, split_fractions=tuple(cfg["split_fractions"])))
-    shapes = param_shapes(config.validate())
-    _check_keys(path, "parameter names must be those of the config", recs, shapes)
-    params = {name: _load_param(path, name, recs[name], shape)
-              for name, shape in shapes.items()}
+        wrong = f"{path}: config {key} has the wrong type or is not finite"
+        value = numbers(cfg[key], wrong, shape=np.shape(default), finite=True)
+        if type(default) is int and value.dtype.kind != "i":
+            raise ValueError(wrong)
+    config = GaeConfig(**dict(cfg, split_fractions=tuple(cfg["split_fractions"]))).validate()
+    if len(recs) < 3 * (config.num_gat_layers + config.num_transformer_layers):
+        # refused before param_shapes would list every one of a huge layer count
+        raise ValueError(f"{path}: parameter names must be those of the config, 3 per layer")
+    shapes = param_shapes(config)
+    exact_keys(recs, shapes, f"{path}: parameter names must be those of the config")
+    params = {}
+    for name, shape in shapes.items():
+        rec, wrong = recs[name], f"{path}: parameter {name} must have shape {list(shape)}"
+        if not (isinstance(rec, dict) and rec.get("shape") == list(shape)):
+            raise ValueError(wrong)
+        values = numbers(rec.get("values"), wrong, shape=(math.prod(shape),))
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: parameter {name} holds non-finite values")
+        params[name] = Tensor(values.astype(np.float64, copy=False).reshape(shape),
+                              requires_grad=True)
     split = doc.get("split", {})
     if not (isinstance(split, dict) and split.keys() <= {"train", "val", "test"} and all(
-            isinstance(v, list) and all(type(i) is int and i >= 0 for i in v)
+            isinstance(v, list) and all(type(i) is int and 0 <= i < 2 ** 63 for i in v)
             for v in split.values())):
         raise ValueError(f"{path}: split must map train/val/test to lists of integers >= 0")
     return TrainedGAE(params=params, config=config,

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import numbers, read_json
+
 DEFAULT_PAIR_BUDGET = 2_000_000
 _PAIR_CHUNK = 4096          # pairs per batched DTW call, bounds its w x w cost cube
 
@@ -72,12 +74,8 @@ def pairwise_distances(values, max_pairs_budget: int = DEFAULT_PAIR_BUDGET) -> n
     """All-pairs DTW distances between the rows of an m x w window matrix, as
     the symmetric m x m matrix with a zero diagonal. Fails loudly if the pair
     count exceeds the budget rather than silently subsampling."""
-    try:
-        values = np.asarray(values, dtype=np.float64)
-    except ValueError:          # rows of different lengths
-        values = None
-    if values is None or values.ndim != 2:
-        raise ValueError("pairwise_distances needs an m x w matrix: windows of one length")
+    values = numbers(values, "pairwise_distances needs an m x w matrix: windows of one "
+                     "length", shape=(None, None)).astype(np.float64, copy=False)
     m = len(values)
     if m < 2:
         raise ValueError("pairwise_distances needs at least 2 segments")
@@ -208,39 +206,24 @@ def save_graph(graph: FaultGraph, path: str) -> None:
     atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True))
 
 
-def _numbers(path, doc, key) -> np.ndarray:
-    """``doc[key]`` as an array of JSON numbers, of any shape."""
-    try:
-        arr = np.asarray(doc[key])
-    except ValueError:          # rows of different lengths
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
-        raise ValueError(f"{path}: {key} must be a regular array of numbers")
-    return arr
-
-
 def load_graph(path: str) -> FaultGraph:
     """Read a graph file; one that no stage could use raises ValueError."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict) or not {"features", "labels", "edges"} <= doc.keys():
         raise ValueError(f"{path}: need a JSON object with features, labels and edges")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: meta must be a JSON object")
-    features = _numbers(path, doc, "features").astype(np.float64, copy=False)
-    labels = _numbers(path, doc, "labels")
-    edges = _numbers(path, doc, "edges").astype(np.float64, copy=False)
-    if edges.shape == (0,):     # no edges at all
-        edges = edges.reshape(0, 3)
-    if features.ndim != 2 or not np.isfinite(features).all():
-        raise ValueError(f"{path}: features must be a finite 2-D matrix")
+    features = numbers(doc["features"], f"{path}: features must be a finite 2-D matrix",
+                       shape=(None, None), finite=True).astype(np.float64, copy=False)
     m = len(features)
-    if labels.shape != (m,) or labels.dtype.kind != "i" or (labels < 0).any():
-        raise ValueError(
-            f"{path}: need one integer label >= 0 for each of {m} nodes")
-    if edges.shape[1:] != (3,):
-        raise ValueError(f"{path}: edges must be [i, j, weight] triples")
+    one_label = f"{path}: need one integer label >= 0 for each of {m} nodes"
+    labels = numbers(doc["labels"], one_label, shape=(m,))
+    if labels.dtype.kind != "i" or (labels < 0).any():
+        raise ValueError(one_label)
+    edges = doc["edges"] if doc["edges"] != [] else np.empty((0, 3))
+    edges = numbers(edges, f"{path}: edges must be [i, j, weight] triples",
+                    shape=(None, 3)).astype(np.float64, copy=False)
     lo, hi, weight = edges.T
     if ((lo < 0) | (lo >= hi) | (hi >= m) | (lo % 1 != 0) | (hi % 1 != 0)).any():
         raise ValueError(f"{path}: edge indices must satisfy 0 <= i < j < {m}")

@@ -16,8 +16,9 @@ from . import gae, stats
 from .data import (DEFAULT_BLOCK, DEFAULT_N_CLASSES, DEFAULT_REDUCER,
                    DEFAULT_SAMPLING_RATE, REDUCERS, assemble_dataset,
                    load_recordings, read_manifest)
-from .ensemble import (DEFAULT_HYPERPARAMS, EnsembleModel, _check_hyperparams,
-                       _finite_list, fit_ensemble, load_ensemble, save_ensemble)
+from .checks import is_finite_number, numbers, read_json
+from .ensemble import (DEFAULT_HYPERPARAMS, EnsembleModel, check_hyperparams,
+                       fit_ensemble, load_ensemble, save_ensemble)
 from .features import MinMaxScaler, feature_matrix, minmax_normalize
 from .gae import SPLIT_KEYS, GaeConfig, TrainedGAE
 from .graph import (DEFAULT_PAIR_BUDGET, FaultGraph, atomic_write_text,
@@ -92,10 +93,9 @@ def _typed(key, value):
         raise ConfigError(f"unknown config key {key!r}")
     default = DEFAULT_CONFIG[key]
     if isinstance(default, float) and type(value) is int:
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ConfigError(f"{key} must be finite") from None
+        if not is_finite_number(value):
+            raise ConfigError(f"{key} must be finite")
+        value = float(value)
     if type(value) is not type(default):
         raise ConfigError(f"key {key!r} expects {type(default).__name__}")
     return value
@@ -146,7 +146,7 @@ def _check_settings(cfg):
         raise ConfigError(f"reducer must be one of {sorted(REDUCERS)}, got {cfg['reducer']!r}")
     try:
         gae_config_from(cfg)
-        _check_hyperparams({k: cfg[k] for k in DEFAULT_HYPERPARAMS})
+        check_hyperparams({k: cfg[k] for k in DEFAULT_HYPERPARAMS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -274,13 +274,11 @@ def _scaler(doc, whose, width) -> MinMaxScaler:
     """The scaler a JSON object describes, checked: ``col_min`` and ``col_max``
     are two lists of ``width`` finite numbers."""
     doc = doc if isinstance(doc, dict) else {}
-    col_min, col_max = doc.get("col_min"), doc.get("col_max")
-    n = len(col_min) if isinstance(col_min, list) else -1
-    if not (_finite_list(col_min, n) and _finite_list(col_max, n)):
-        raise ValueError(f"{whose} scaler must hold col_min and col_max, two "
-                         f"equal-length lists of finite numbers")
-    if n != width:
-        raise ValueError(f"{whose} scaler has {n} columns, but the graph has "
+    col_min, col_max = numbers(
+        [doc.get("col_min"), doc.get("col_max")], f"{whose} scaler must hold col_min and "
+        f"col_max, two equal-length lists of finite numbers", shape=(2, None), finite=True)
+    if len(col_min) != width:
+        raise ValueError(f"{whose} scaler has {len(col_min)} columns, but the graph has "
                          f"{width} feature columns")
     return MinMaxScaler(col_min, col_max)
 
@@ -289,8 +287,7 @@ def load_model_dir(model_dir: str):
     model = gae.load_model(os.path.join(model_dir, MODEL_FILE))
     ens = load_ensemble(os.path.join(model_dir, ENSEMBLE_FILE))
     path = os.path.join(model_dir, TRAIN_REPORT_FILE)
-    with open(path) as fh:
-        report = json.load(fh)
+    report = read_json(path)
     if not isinstance(report, dict):
         raise ValueError(f"{path}: the train report must be a JSON object")
     return model, ens, report

@@ -311,8 +311,21 @@ class TestModelFile:
          "split must map train/val/test to lists of integers >= 0"),
         (lambda doc: doc["split"].update(test=[100000]),
          "model split test holds node 100000, but the graph has"),
+        (lambda doc: doc["params"]["dec.W2"].update(
+            values=[str(v) for v in doc["params"]["dec.W2"]["values"]]),
+         "parameter dec.W2 must have shape"),
+        (lambda doc: doc["params"]["dec.W2"]["values"].__setitem__(0, True),
+         "parameter dec.W2 must have shape"),
+        (lambda doc: doc["config"].update(learning_rate=float("inf")),
+         "config learning_rate has the wrong type or is not finite"),
+        (lambda doc: doc["config"].update(kl_weight=float("inf")),
+         "config kl_weight has the wrong type or is not finite"),
+        (lambda doc: doc["config"].update(num_gat_layers=10 ** 5),
+         "parameter names must be those of the config, 3 per layer"),
     ], ids=["per_head_layout", "unknown_config_key", "float_head_count",
-            "wrong_shape", "nan_value", "negative_split_index", "split_index_past_graph"])
+            "wrong_shape", "nan_value", "negative_split_index", "split_index_past_graph",
+            "string_values", "boolean_value", "infinite_learning_rate",
+            "infinite_kl_weight", "huge_layer_count"])
     def test_mismatched_model_is_validation_error(self, workspace, built, tmp_path,
                                                   capsys, mutate, message):
         model = tmp_path / "model"
@@ -373,6 +386,29 @@ class TestModelFile:
         err = capsys.readouterr().err
         assert rc == cli.EXIT_VALIDATION
         assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text", ["[" * 100000, "{"], ids=["deeply_nested", "truncated"])
+@pytest.mark.parametrize("command, name", [
+    ("train", "graph.json"), ("evaluate", "model.json"),
+    ("evaluate", "ensemble.json"), ("evaluate", "train_report.json")])
+def test_unreadable_json_names_the_file(workspace, built, tmp_path, capsys, command,
+                                        name, text):
+    """Every JSON file a command reads exits 2 with one line naming it when it
+    does not parse, however deep its nesting."""
+    model = tmp_path / "model"
+    shutil.copytree(built["model"], model)
+    graph = tmp_path / "graph.json"
+    shutil.copy(built["graph"], graph)
+    broken = graph if name == "graph.json" else model / name
+    broken.write_text(text)
+    rc = cli.main([command, "--config", workspace["config"], "--graph", str(graph),
+                   "--model" if command == "evaluate" else "--out", str(model)]
+                  + (["--out", str(tmp_path / "report.json")] if command == "evaluate"
+                     else []))
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_VALIDATION
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(broken) in err
 
 
 class TestCrossEval:

@@ -61,8 +61,9 @@ class TestReadManifest:
         ("a.csv,-1,1,loadA", "channel must be >= 0, got -1"),
         ("a.csv,x,1,loadA", "channel must be an integer, got 'x'"),
         ("a.csv,0,1.5,loadA", "fault_class must be an integer, got '1.5'"),
+        ("a.csv,0,1," + "x" * 131073, "field larger than field limit (131072)"),
     ], ids=["one_field", "no_load_tag", "empty_channel", "negative_channel",
-            "channel_not_integer", "class_not_integer"])
+            "channel_not_integer", "class_not_integer", "field_over_csv_limit"])
     def test_bad_row_names_its_line(self, tmp_path, row, says):
         path = write_manifest(tmp_path, ["good.csv,0,1,loadA", row])
         with pytest.raises(ValueError) as info:
