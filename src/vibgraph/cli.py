@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 from . import pipeline, stats
+from .checks import is_finite_number
 from .graph import (PairBudgetError, atomic_write_text, load_graph,
                     pairwise_distances, save_graph)
 
@@ -32,6 +33,8 @@ def _read_f1_csv(path):
                 tok = tok.strip()
                 if tok:
                     values.append(float(tok))
+                    if not is_finite_number(values[-1]):
+                        raise ValueError(f"{path}: F1 value {tok!r} is not finite")
     if not values:
         raise ValueError(f"{path}: no F1 values found")
     return np.asarray(values)

@@ -537,7 +537,7 @@ def _check_ensemble_doc(doc):
     """Raise a one-line ValueError for the first fault in a loaded
     ensemble.json, so that a learner is only built from a consistent state."""
     version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version != ENSEMBLE_FORMAT_VERSION:
+    if type(version) is not int or version != ENSEMBLE_FORMAT_VERSION:
         raise ValueError(f"unsupported ensemble format {version}")
     C = doc.get("n_classes")
     if type(C) is not int or C < 2:

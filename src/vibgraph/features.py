@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .segmentation import default_bin_count, shannon_entropy
+from .segmentation import default_bin_count, shannon_entropy, window_entropies
 
 FEATURE_NAMES = (
     "mean", "std_dev", "skewness", "kurtosis", "entropy_nats",
@@ -69,19 +69,28 @@ def segment_features(values, bin_count: int | None = None) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if bin_count is None:
         bin_count = default_bin_count(values.size)
+    return _feature_row(values, shannon_entropy(values, bin_count))
+
+
+def _feature_row(values, entropy: float) -> np.ndarray:
     row = np.empty(FEATURE_DIM)
     row[0:4] = stat_features(values)
-    row[4] = shannon_entropy(values, bin_count)
+    row[4] = entropy
     row[5:7] = temporal_features(values)
     row[7:10] = psd_top3(values)
     return row
 
 
 def feature_matrix(values, bin_count: int | None = None) -> np.ndarray:
-    """Feature rows of the m x w window matrix, one row per window: m x 10."""
+    """Feature rows of the m x w window matrix, one row per window: m x 10.
+    The entropy column comes from one batched histogram of all windows."""
+    values = np.asarray(values, dtype=np.float64)
     if len(values) == 0:
         raise ValueError("feature_matrix: no segments")
-    return np.vstack([segment_features(row, bin_count) for row in values])
+    if bin_count is None:
+        bin_count = default_bin_count(values.shape[1])
+    entropies = window_entropies(values, bin_count)
+    return np.vstack([_feature_row(row, h) for row, h in zip(values, entropies)])
 
 
 class MinMaxScaler:

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_ROW_CHUNK = 1024           # windows per batched entropy histogram, bounds its temporaries
+
 
 @dataclass
 class TimeSeries:
@@ -25,8 +27,8 @@ class TimeSeries:
             raise ValueError(
                 f"samples ({len(self.samples)}) and labels ({len(self.labels)}) "
                 "must have equal length")
-        if np.any(np.isnan(self.samples)):
-            raise ValueError("samples contain NaN; preprocess first")
+        if not np.isfinite(self.samples).all():
+            raise ValueError("samples contain NaN or inf; preprocess first")
 
     def __len__(self):
         return len(self.samples)
@@ -61,6 +63,53 @@ def shannon_entropy(values, bin_count: int) -> float:
     return float(-(p * np.log(p)).sum())
 
 
+def window_entropies(V, bin_count: int) -> np.ndarray:
+    """``shannon_entropy(row, bin_count)`` of each row of the m x w matrix
+    ``V``, bit for bit, computed ``_ROW_CHUNK`` rows at a time."""
+    V = np.asarray(V, dtype=np.float64)
+    if V.shape[1] == 0:
+        raise ValueError("shannon_entropy: empty segment")
+    if bin_count < 1:
+        raise ValueError("bin_count must be >= 1")
+    H = np.zeros(len(V))
+    for i in range(0, len(V), _ROW_CHUNK):
+        rows = V[i:i + _ROW_CHUNK]
+        lo, hi = rows.min(axis=1), rows.max(axis=1)
+        spread = lo != hi               # a constant window keeps entropy 0
+        if spread.any():
+            H[i:i + _ROW_CHUNK][spread] = _spread_entropies(
+                rows[spread], lo[spread], hi[spread], bin_count)
+    return H
+
+
+def _spread_entropies(V, lo, hi, b):
+    """np.histogram's equal-width path for every row of V at once: the same
+    edges, bin indices and ±1 edge corrections, then one bincount."""
+    if not (np.isfinite(lo) & np.isfinite(hi)).all():
+        raise ValueError("window values must be finite")
+    r, w = V.shape
+    edges = np.linspace(lo, hi, b + 1, axis=1)
+    if (edges[:, :-1] >= edges[:, 1:]).any():
+        raise ValueError(f"Too many bins for data range. Cannot create {b} "
+                         "finite-sized bins.")
+    idx = (((V - lo[:, None]) / (hi - lo)[:, None]) * b).astype(np.intp)
+    idx[idx == b] -= 1
+    idx -= V < np.take_along_axis(edges, idx, axis=1)
+    idx += (V >= np.take_along_axis(edges, idx + 1, axis=1)) & (idx != b - 1)
+    counts = np.bincount((idx + b * np.arange(r)[:, None]).ravel(),
+                         minlength=r * b).reshape(r, b)
+    # Sum p log p over the non-empty bins in bin order, rows with k of them
+    # as one (rows, k) array: numpy's pairwise sum then groups the terms as
+    # it does for one row; zero padding would regroup them from k >= 8 on.
+    k = np.count_nonzero(counts, axis=1)
+    H = np.empty(r)
+    for n in np.unique(k):
+        c = counts[k == n]
+        p = c[c > 0].reshape(-1, n) / w
+        H[k == n] = -(p * np.log(p)).sum(axis=1)
+    return H
+
+
 def windows(x: np.ndarray, w: int, step: int) -> np.ndarray:
     """Read-only view of the windows ``x[i:i + w]`` for i = 0, step, 2*step, ...
     as the rows of one matrix."""
@@ -77,8 +126,7 @@ def average_entropy(series: TimeSeries, w: int, step: int = 1,
     """Mean segment entropy over all windows of size ``w`` at the given stride."""
     if bin_count is None:
         bin_count = default_bin_count(w)
-    return float(np.mean([shannon_entropy(row, bin_count)
-                          for row in windows(series.samples, w, step)]))
+    return float(np.mean(window_entropies(windows(series.samples, w, step), bin_count)))
 
 
 def select_window(series: TimeSeries, candidates, step: int = 1,

@@ -116,6 +116,21 @@ class TestBuildGraph:
         assert rc == cli.EXIT_VALIDATION
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
+    def test_infinite_sample_is_validation_error(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data_dir"], data)
+        recording = data / "a_c1_2.csv"
+        lines = recording.read_text().splitlines()
+        lines[7] = "inf"
+        recording.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["build-graph", "--config", workspace["config"],
+                       "--data-dir", str(data), "--load", "a",
+                       "--out", str(tmp_path / "g.json")])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: samples contain NaN or inf; preprocess first\n")
+        assert not (tmp_path / "g.json").exists()
+
     def test_pair_budget_exit_code(self, workspace, tmp_path):
         config = tmp_path / "tight.toml"
         config.write_text(FAST_CONFIG
@@ -455,6 +470,17 @@ class TestCompare:
         doc = json.load(open(out))
         assert doc["paired_t"]["t_statistic"] > 0
         assert doc["wilcoxon"]["method"] == "exact"
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_value_is_validation_error(self, tmp_path, capsys, token):
+        a = tmp_path / "a.csv"
+        a.write_text(f"0.9, {token}, 0.8\n")
+        b = tmp_path / "b.csv"
+        b.write_text("0.8, 0.7, 0.6\n")
+        rc = cli.main(["compare", "--f1-a", str(a), "--f1-b", str(b)])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {a}: F1 value {token!r} is not finite\n")
 
     def test_empty_file_is_validation_error(self, tmp_path):
         a = tmp_path / "a.csv"

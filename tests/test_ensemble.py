@@ -386,6 +386,20 @@ class TestEnsembleModel:
         en.save_ensemble(loaded, str(again))
         assert again.read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_format_version_must_be_the_integer(self, tmp_path, version):
+        hp = dict(rf_trees=2, rf_depth=2, gb_rounds=2, gb_depth=1, xgb_rounds=2,
+                  xgb_depth=1, mlp_hidden=3, mlp_epochs=2, cv_folds=2)
+        X, y = blobs(n_per=4, seed=15)
+        path = tmp_path / "ens.json"
+        en.save_ensemble(en.fit_ensemble(X, y, hp, seed=0), str(path))
+        doc = json.loads(path.read_text())
+        assert doc["format_version"] == 1 and en.load_ensemble(str(path))
+        doc["format_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="unsupported ensemble format"):
+            en.load_ensemble(str(path))
+
     def test_oof_dominance(self):
         X, y = blobs(n_per=15, seed=14, spread=1.5)
         hp = {"rf_trees": 10, "gb_rounds": 10, "xgb_rounds": 10,

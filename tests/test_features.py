@@ -99,10 +99,13 @@ class TestSegmentFeatures:
         assert tuple(row[7:10]) == ft.psd_top3(vals)
 
     def test_matrix_stacks_rows(self):
-        values = np.random.default_rng(0).normal(size=(4, 20))
+        rng = np.random.default_rng(0)
+        # normal windows, integer windows (values on bin edges), a constant one
+        values = np.vstack([rng.normal(size=(4, 20)),
+                            rng.integers(-2, 3, size=(3, 20)), np.full((1, 20), 0.5)])
         M = ft.feature_matrix(values)
-        assert M.shape == (4, 10)
-        np.testing.assert_array_equal(M[2], ft.segment_features(values[2]))
+        assert M.shape == (8, 10)
+        np.testing.assert_array_equal(M, [ft.segment_features(row) for row in values])
 
 
 class TestMinMaxScaler:

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vibgraph import segmentation as seg
 
@@ -27,6 +28,11 @@ class TestTimeSeries:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             series([1.0, np.nan])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_inf_rejected(self, bad):
+        with pytest.raises(ValueError, match="NaN or inf"):
+            series([1.0, bad])
 
     def test_len(self):
         assert len(series([1.0, 2.0, 3.0])) == 3
@@ -68,6 +74,73 @@ class TestShannonEntropy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             seg.shannon_entropy([], 2)
+
+
+@st.composite
+def windows_and_bins(draw):
+    """An m x w matrix of windows and a bin count. The values are normal,
+    integers (which tie), constant rows mixed with normal ones, or on the bin
+    edges and one ulp either side of them, where np.histogram's index
+    corrections decide the bin."""
+    m, w, bins = draw(st.integers(1, 30)), draw(st.integers(2, 140)), draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["normal", "integer", "constant", "edges"]))
+    if kind == "integer":
+        V = rng.integers(-3, 4, size=(m, w)).astype(float)
+    elif kind == "edges":
+        V = np.empty((m, w))
+        for row in V:
+            lo, hi = np.sort(rng.normal(size=2) * 10.0 ** rng.integers(-3, 4))
+            edges = np.linspace(lo, hi, bins + 1)
+            pool = np.concatenate([edges, np.nextafter(edges, np.inf),
+                                   np.nextafter(edges, -np.inf)])
+            row[:] = rng.choice(pool[(pool >= lo) & (pool <= hi)], w)
+            row[:2] = lo, hi
+    else:
+        V = rng.normal(size=(m, w)) * draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    if kind == "constant":
+        V[rng.random(m) < 0.5] = draw(st.floats(-10, 10))
+    return V, bins
+
+
+class TestWindowEntropies:
+    """The batched histogram must give shannon_entropy's value for every row
+    exactly, not approximately: select_window's argmax and the feature
+    column both depend on the last bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(windows_and_bins())
+    def test_equals_scalar_bit_for_bit(self, case):
+        V, bins = case
+        want = np.array([seg.shannon_entropy(row, bins) for row in V])
+        got = seg.window_entropies(V, bins)
+        assert got.tobytes() == want.tobytes()
+
+    def test_select_window_scores_do_not_depend_on_the_chunk(self, monkeypatch):
+        # 4 to 22 windows per candidate in chunks of 3: boundaries inside
+        s = series(np.random.default_rng(5).normal(size=90))
+        whole = seg.select_window(s, [5, 10, 20, 64], step=4).scores
+        monkeypatch.setattr(seg, "_ROW_CHUNK", 3)
+        assert seg.select_window(s, [5, 10, 20, 64], step=4).scores == whole
+
+    def test_empty_windows_rejected(self):
+        with pytest.raises(ValueError, match="empty segment"):
+            seg.window_entropies(np.zeros((3, 0)), 2)
+
+    def test_too_narrow_range_rejected_like_histogram(self):
+        # a range of one ulp cannot hold 3 bins; np.histogram refuses it too
+        row = [1.0, np.nextafter(1.0, 2.0)]
+        with pytest.raises(ValueError, match="Too many bins") as scalar:
+            seg.shannon_entropy(row, 3)
+        with pytest.raises(ValueError, match="Too many bins") as batched:
+            seg.window_entropies(np.array([[0.0, 1.0], row]), 3)
+        assert str(batched.value) == str(scalar.value)
+
+    def test_bin_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="bin_count"):
+            seg.window_entropies(np.ones((3, 4)), 0)
+        with pytest.raises(ValueError, match="bin_count"):
+            seg.average_entropy(series(np.arange(8.0)), 4, bin_count=0)
 
 
 class TestDefaultBinCount:
