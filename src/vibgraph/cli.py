@@ -6,15 +6,13 @@ Exit codes: 0 success, 2 validation error, 3 I/O error, 4 pair budget exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from . import pipeline, stats
-from .checks import is_finite_number
-from .graph import (PairBudgetError, atomic_write_text, load_graph,
-                    pairwise_distances, save_graph)
+from .checks import atomic_write_text, is_finite_number, json_text, write_json
+from .graph import PairBudgetError, load_graph, pairwise_distances, save_graph
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -72,7 +70,7 @@ def cmd_evaluate(args):
     train_meta = {"scaler": train_report.get("scaler"),
                   "source_id": train_report.get("train_source", "")}
     report, doc = pipeline.evaluate_on_graph(model, ens, train_meta, graph, cfg)
-    atomic_write_text(args.out, json.dumps(doc, indent=1, sort_keys=True))
+    write_json(args.out, doc)
     print(f"accuracy={report.accuracy:.4f} macro_f1={report.macro_f1:.4f} "
           f"-> {args.out}")
 
@@ -99,7 +97,7 @@ def cmd_compare(args):
                      "method": w.extra["method"],
                      "significant_at_0_05": w.significant_at_0_05},
     }
-    text = json.dumps(doc, indent=1, sort_keys=True)
+    text = json_text(doc)
     if args.out:
         atomic_write_text(args.out, text)
     print(text)

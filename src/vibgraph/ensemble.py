@@ -16,8 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checks import exact_keys, is_finite_number, numbers, read_json
-from .graph import atomic_write_text
+from .checks import atomic_write_text, exact_keys, is_finite_number, numbers, read_json
 
 ENSEMBLE_FORMAT_VERSION = 1
 

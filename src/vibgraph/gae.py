@@ -9,7 +9,6 @@ width 64 is not divisible by 10 heads, so concatenation cannot produce it).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -17,9 +16,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checks import exact_keys, numbers, read_json
+from .checks import atomic_write_text, exact_keys, numbers, read_json, write_json
 from .features import FEATURE_DIM
-from .graph import FaultGraph, Neighbors, atomic_write_text
+from .graph import FaultGraph, Neighbors
 
 LEAKY_SLOPE = 0.2       # negative slope of the GAT attention-score LeakyReLU
 SPLIT_KEYS = ("train_frac", "val_frac", "test_frac")   # config names of split_fractions
@@ -319,7 +318,7 @@ def save_model(model: TrainedGAE, path: str) -> None:
         "split": {k: np.asarray(v).tolist() for k, v in model.split.items()},
         "diagnostics": model.diagnostics,
     }
-    atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True))
+    write_json(path, doc)
 
 
 def load_model(path: str) -> TrainedGAE:

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import numbers, read_json
+# atomic_write_text stays importable from here, where perfbench/run.py finds it
+from .checks import atomic_write_text, numbers, read_json, write_json
 
 DEFAULT_PAIR_BUDGET = 2_000_000
 _PAIR_CHUNK = 4096          # pairs per batched DTW call, bounds its w x w cost cube
@@ -182,28 +180,9 @@ def build_graph(features, labels, theta: float, D, meta: dict | None = None) -> 
 # graph file format (JSON, one file per graph)
 
 
-def atomic_write_text(path, text):
-    """Write-temp-then-rename so readers never see a partial file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def save_graph(graph: FaultGraph, path: str) -> None:
-    doc = {
-        "meta": graph.meta,
-        "features": [row.tolist() for row in graph.node_features],
-        "labels": graph.node_labels.tolist(),
-        "edges": [[int(i), int(j), float(w)] for i, j, w in graph.edges],
-    }
-    atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True))
+    write_json(path, {"meta": graph.meta, "features": graph.node_features.tolist(),
+                      "labels": graph.node_labels.tolist(), "edges": graph.edges})
 
 
 def load_graph(path: str) -> FaultGraph:

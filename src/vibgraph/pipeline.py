@@ -16,14 +16,13 @@ from . import gae, stats
 from .data import (DEFAULT_BLOCK, DEFAULT_N_CLASSES, DEFAULT_REDUCER,
                    DEFAULT_SAMPLING_RATE, REDUCERS, assemble_dataset,
                    load_recordings, read_manifest)
-from .checks import is_finite_number, numbers, read_json
+from .checks import atomic_write_text, is_finite_number, numbers, read_json, write_json
 from .ensemble import (DEFAULT_HYPERPARAMS, EnsembleModel, check_hyperparams,
                        fit_ensemble, load_ensemble, save_ensemble)
 from .features import MinMaxScaler, feature_matrix, minmax_normalize
 from .gae import SPLIT_KEYS, GaeConfig, TrainedGAE
-from .graph import (DEFAULT_PAIR_BUDGET, FaultGraph, atomic_write_text,
-                    build_graph, load_graph, pairwise_distances, save_graph,
-                    threshold_from_percentile)
+from .graph import (DEFAULT_PAIR_BUDGET, FaultGraph, build_graph, load_graph,
+                    pairwise_distances, save_graph, threshold_from_percentile)
 from .segmentation import (DEFAULT_CANDIDATES, default_bin_count,
                            default_stride, segment, select_window, TimeSeries)
 
@@ -266,8 +265,7 @@ def save_model_dir(out_dir: str, model: TrainedGAE, ens: EnsembleModel,
     gae.save_model(model, os.path.join(out_dir, MODEL_FILE))
     gae.save_loss_curves(model, os.path.join(out_dir, CURVES_FILE))
     save_ensemble(ens, os.path.join(out_dir, ENSEMBLE_FILE))
-    atomic_write_text(os.path.join(out_dir, TRAIN_REPORT_FILE),
-                      json.dumps(report, indent=1, sort_keys=True))
+    write_json(os.path.join(out_dir, TRAIN_REPORT_FILE), report)
 
 
 def _scaler(doc, whose, width) -> MinMaxScaler:
@@ -390,8 +388,7 @@ def cross_eval(cfg: dict, out_dir: str, loads: list[str] | None = None) -> dict:
             report, doc = evaluate_on_graph(model, ens, graphs[train_tag].meta,
                                             graphs[test_tag], cfg)
             name = f"report_{train_tag}_to_{test_tag}.json"
-            atomic_write_text(os.path.join(out_dir, name),
-                              json.dumps(doc, indent=1, sort_keys=True))
+            write_json(os.path.join(out_dir, name), doc)
             summary["reports"][f"{train_tag}->{test_tag}"] = {
                 "file": name, "macro_f1": report.macro_f1,
                 "accuracy": report.accuracy}
@@ -409,8 +406,7 @@ def cross_eval(cfg: dict, out_dir: str, loads: list[str] | None = None) -> dict:
                 "significant_at_0_05": t.significant_at_0_05,
                 "mean_difference": t.extra["mean_difference"]}
 
-    atomic_write_text(os.path.join(out_dir, "summary.json"),
-                      json.dumps(summary, indent=1, sort_keys=True))
+    write_json(os.path.join(out_dir, "summary.json"), summary)
     atomic_write_text(os.path.join(out_dir, "summary.md"),
                       stats.render_markdown_report(reports))
     return summary

@@ -58,6 +58,7 @@ def shannon_entropy(values, bin_count: int) -> float:
     lo, hi = values.min(), values.max()
     if lo == hi:
         return 0.0
+    _bin_edges(lo, hi, bin_count, values.size)      # refuses a range too narrow
     counts, _ = np.histogram(values, bins=bin_count, range=(lo, hi))
     p = counts[counts > 0] / values.size
     return float(-(p * np.log(p)).sum())
@@ -82,16 +83,25 @@ def window_entropies(V, bin_count: int) -> np.ndarray:
     return H
 
 
+def _bin_edges(lo, hi, b, w):
+    """np.histogram's ``b + 1`` equal-width edges over [lo, hi], one row per
+    window when lo and hi are arrays. A range too few floats wide for ``b``
+    distinct edges, where np.histogram gives up, raises a ValueError that
+    names the window length ``w`` and the bin count."""
+    edges = np.linspace(lo, hi, b + 1, axis=-1)
+    if (edges[..., :-1] >= edges[..., 1:]).any():
+        raise ValueError(f"a window of {w} samples spans too narrow a range for "
+                         f"bin_count = {b} equal-width entropy bins")
+    return edges
+
+
 def _spread_entropies(V, lo, hi, b):
     """np.histogram's equal-width path for every row of V at once: the same
     edges, bin indices and ±1 edge corrections, then one bincount."""
     if not (np.isfinite(lo) & np.isfinite(hi)).all():
         raise ValueError("window values must be finite")
     r, w = V.shape
-    edges = np.linspace(lo, hi, b + 1, axis=1)
-    if (edges[:, :-1] >= edges[:, 1:]).any():
-        raise ValueError(f"Too many bins for data range. Cannot create {b} "
-                         "finite-sized bins.")
+    edges = _bin_edges(lo, hi, b, w)
     idx = (((V - lo[:, None]) / (hi - lo)[:, None]) * b).astype(np.intp)
     idx[idx == b] -= 1
     idx -= V < np.take_along_axis(edges, idx, axis=1)

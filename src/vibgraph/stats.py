@@ -3,12 +3,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .graph import atomic_write_text
+from .checks import write_json
 
 EXACT_WILCOXON_MAX_N = 12
 
@@ -50,7 +49,7 @@ class EvaluationReport:
         }
 
     def save(self, path):
-        atomic_write_text(path, json.dumps(self.to_dict(), indent=1, sort_keys=True))
+        write_json(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, d):

@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from .graph import atomic_write_text
+from .checks import atomic_write_text
 from .segmentation import TimeSeries
 
 DEFAULT_PERIODS = (20.0, 6.0, 3.0)

@@ -131,6 +131,21 @@ class TestBuildGraph:
             "error: samples contain NaN or inf; preprocess first\n")
         assert not (tmp_path / "g.json").exists()
 
+    def test_near_constant_window_is_validation_error(self, workspace, tmp_path,
+                                                      capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data_dir"], data)
+        one_ulp_apart = [repr(1.0), repr(float(np.nextafter(1.0, 2.0)))]
+        (data / "a_c1_2.csv").write_text("\n".join(one_ulp_apart * 75) + "\n")
+        rc = cli.main(["build-graph", "--config", workspace["config"],
+                       "--data-dir", str(data), "--load", "a",
+                       "--out", str(tmp_path / "g.json")])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: a window of 8 samples spans too narrow a range for "
+            "bin_count = 3 equal-width entropy bins\n")
+        assert not (tmp_path / "g.json").exists()
+
     def test_pair_budget_exit_code(self, workspace, tmp_path):
         config = tmp_path / "tight.toml"
         config.write_text(FAST_CONFIG

@@ -5,6 +5,9 @@ gradient against central differences; training for descent and recorded
 diagnostics.
 """
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -507,6 +510,18 @@ class TestModelIO:
         for name, t in model.params.items():
             np.testing.assert_array_equal(loaded.params[name].values, t.values)
         np.testing.assert_array_equal(gae.embed(g, loaded), gae.embed(g, model))
+
+    def test_checkpoint_bytes_are_indented_json(self, tmp_path):
+        model = gae.train(TestTraining().cluster_graph(), small_config(epochs=3))
+        path = tmp_path / "model.json"
+        gae.save_model(model, str(path))
+        doc = {"config": asdict(model.config),
+               "params": {name: {"shape": list(t.shape), "values": t.values.ravel().tolist()}
+                          for name, t in model.params.items()},
+               "curves": model.curves,
+               "split": {k: np.asarray(v).tolist() for k, v in model.split.items()},
+               "diagnostics": model.diagnostics}
+        assert path.read_text() == json.dumps(doc, indent=1, sort_keys=True)
 
     def test_curves_csv(self, tmp_path):
         g = TestTraining().cluster_graph()

@@ -322,6 +322,23 @@ class TestGraphIO:
         assert g2.meta["w_star"] == 2
         assert g2.meta["theta"] == 5.0
 
+    def test_file_bytes_are_indented_json_and_reload_the_graph(self, tmp_path):
+        s = segs([[0.0, 1.0], [0.5, 1.5], [10.0, 11.0], [0.25, 1.0]])
+        X = np.random.default_rng(5).normal(size=(4, 10))
+        meta = {"w_star": 2, "source_id": "load \"a\", [b]", "segments": s.tolist(),
+                "segment_starts": [0, 2, 4, 6], "scaler": {"col_min": [0.5, -1e-300],
+                                                          "col_max": [2.0, 1e300]}}
+        g = gr.build_graph(X, [0, 0, 1, 1], 5.0, gr.pairwise_distances(s), meta=meta)
+        path = tmp_path / "g.json"
+        gr.save_graph(g, str(path))
+        doc = {"meta": g.meta, "features": [row.tolist() for row in g.node_features],
+               "labels": g.node_labels.tolist(),
+               "edges": [[int(i), int(j), float(w)] for i, j, w in g.edges]}
+        assert path.read_text() == json.dumps(doc, indent=1, sort_keys=True)
+        again = tmp_path / "again.json"
+        gr.save_graph(gr.load_graph(str(path)), str(again))
+        assert again.read_bytes() == path.read_bytes()
+
     def test_file_is_valid_json(self, tmp_path):
         s = segs([[0.0], [1.0]])
         g = gr.build_graph(np.zeros((2, 2)), [0, 1], 5.0, gr.pairwise_distances(s))

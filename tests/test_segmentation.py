@@ -128,11 +128,16 @@ class TestWindowEntropies:
             seg.window_entropies(np.zeros((3, 0)), 2)
 
     def test_too_narrow_range_rejected_like_histogram(self):
-        # a range of one ulp cannot hold 3 bins; np.histogram refuses it too
+        # a range of one ulp cannot hold 3 bins; np.histogram refuses it too,
+        # in words that name neither the window nor the setting
         row = [1.0, np.nextafter(1.0, 2.0)]
-        with pytest.raises(ValueError, match="Too many bins") as scalar:
+        with pytest.raises(ValueError, match="Too many bins"):
+            np.histogram(row, bins=3, range=(min(row), max(row)))
+        message = ("a window of 2 samples spans too narrow a range for "
+                   "bin_count = 3 equal-width entropy bins")
+        with pytest.raises(ValueError, match=message) as scalar:
             seg.shannon_entropy(row, 3)
-        with pytest.raises(ValueError, match="Too many bins") as batched:
+        with pytest.raises(ValueError, match=message) as batched:
             seg.window_entropies(np.array([[0.0, 1.0], row]), 3)
         assert str(batched.value) == str(scalar.value)
 
