@@ -30,7 +30,10 @@ def _read_f1_csv(path):
             for tok in line.split(","):
                 tok = tok.strip()
                 if tok:
-                    values.append(float(tok))
+                    try:
+                        values.append(float(tok))
+                    except ValueError:
+                        raise ValueError(f"{path}: F1 value {tok!r} is not a number") from None
                     if not is_finite_number(values[-1]):
                         raise ValueError(f"{path}: F1 value {tok!r} is not finite")
     if not values:

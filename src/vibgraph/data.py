@@ -91,6 +91,13 @@ def _int_field(where: str, row: dict, key: str) -> int:
 def _read_samples(path: str, channel: int) -> np.ndarray:
     ext = os.path.splitext(path)[1].lower()
     if ext in BINARY_EXTENSIONS:
+        if channel != 0:
+            raise ValueError(f"{path}: a binary recording holds one channel, "
+                             f"so channel must be 0, got {channel}")
+        size = os.path.getsize(path)
+        if size % 8:
+            raise ValueError(f"{path}: {size} bytes is not a whole number of "
+                             "8-byte float64 samples")
         return np.fromfile(path, dtype="<f8")
     values = []
     with open(path) as fh:

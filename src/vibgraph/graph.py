@@ -68,6 +68,16 @@ def _batched_dtw_equal_length(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return D[w, w]
 
 
+def check_pair_budget(m: int, max_pairs_budget: int) -> int:
+    """The m(m-1)/2 DTW pairs of m segments; PairBudgetError above the budget."""
+    n_pairs = m * (m - 1) // 2
+    if n_pairs > max_pairs_budget:
+        raise PairBudgetError(
+            f"{n_pairs} segment pairs exceed the budget of {max_pairs_budget}; "
+            "raise the segmentation stride or cap the segment count")
+    return n_pairs
+
+
 def pairwise_distances(values, max_pairs_budget: int = DEFAULT_PAIR_BUDGET) -> np.ndarray:
     """All-pairs DTW distances between the rows of an m x w window matrix, as
     the symmetric m x m matrix with a zero diagonal. Fails loudly if the pair
@@ -77,11 +87,7 @@ def pairwise_distances(values, max_pairs_budget: int = DEFAULT_PAIR_BUDGET) -> n
     m = len(values)
     if m < 2:
         raise ValueError("pairwise_distances needs at least 2 segments")
-    n_pairs = m * (m - 1) // 2
-    if n_pairs > max_pairs_budget:
-        raise PairBudgetError(
-            f"{n_pairs} segment pairs exceed the budget of {max_pairs_budget}; "
-            "raise the segmentation stride or cap the segment count")
+    n_pairs = check_pair_budget(m, max_pairs_budget)
 
     D = np.zeros((m, m))
     ii, jj = np.triu_indices(m, k=1)

@@ -21,10 +21,10 @@ from .ensemble import (DEFAULT_HYPERPARAMS, EnsembleModel, check_hyperparams,
                        fit_ensemble, load_ensemble, save_ensemble)
 from .features import MinMaxScaler, feature_matrix, minmax_normalize
 from .gae import SPLIT_KEYS, GaeConfig, TrainedGAE
-from .graph import (DEFAULT_PAIR_BUDGET, FaultGraph, build_graph, load_graph,
-                    pairwise_distances, save_graph, threshold_from_percentile)
-from .segmentation import (DEFAULT_CANDIDATES, default_bin_count,
-                           default_stride, segment, select_window, TimeSeries)
+from .graph import (DEFAULT_PAIR_BUDGET, FaultGraph, build_graph, check_pair_budget,
+                    load_graph, pairwise_distances, save_graph, threshold_from_percentile)
+from .segmentation import (DEFAULT_CANDIDATES, default_stride, segment,
+                           select_window, TimeSeries)
 
 _GAE_DEFAULTS = asdict(GaeConfig())
 # GaeConfig fields the config sets by name: input_dim follows the feature
@@ -192,8 +192,9 @@ def build_graph_from_series(series: TimeSeries, cfg: dict):
     w_star = sel.w_star
     step = cfg["stride"] or default_stride(w_star)
     values, starts, labels = segment(series, w_star, step)
+    check_pair_budget(len(values), cfg["pair_budget"])    # refused before the features
 
-    raw = feature_matrix(values, bin_count or default_bin_count(w_star))
+    raw = feature_matrix(values, bin_count)
     normalized, scaler = minmax_normalize(raw)
 
     distances = pairwise_distances(values, cfg["pair_budget"])
@@ -361,6 +362,9 @@ def cross_eval(cfg: dict, out_dir: str, loads: list[str] | None = None) -> dict:
     file per (train, test) pair plus a summary with mean/std F1 per model and
     pairwise paired t-tests between the models' per-class F1 vectors.
     """
+    repeated = sorted({t for t in loads or () if loads.count(t) > 1})
+    if repeated:
+        raise ValueError(f"loads {repeated} given more than once")
     series = load_series_by_load(cfg)
     tags = loads or sorted(series)
     missing = [t for t in tags if t not in series]

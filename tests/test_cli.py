@@ -155,6 +155,26 @@ class TestBuildGraph:
                        "--out", str(tmp_path / "g.json")])
         assert rc == cli.EXIT_BUDGET
 
+    def test_pair_budget_refused_before_features(self, workspace, tmp_path, capsys,
+                                                 monkeypatch):
+        config = tmp_path / "tight.toml"
+        config.write_text(FAST_CONFIG
+                          + f'data_dir = "{workspace["data_dir"]}"\n'
+                          + "pair_budget = 1\n")
+
+        def no_features(*args, **kwargs):
+            raise AssertionError("features were computed past the pair budget")
+
+        monkeypatch.setattr(pipeline, "feature_matrix", no_features)
+        rc = cli.main(["build-graph", "--config", str(config), "--load", "a",
+                       "--out", str(tmp_path / "g.json")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_BUDGET
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(" segment pairs exceed the budget of 1; raise the "
+                            "segmentation stride or cap the segment count\n")
+        assert not (tmp_path / "g.json").exists()
+
 
 class TestTrain:
     def test_model_dir_contents(self, built):
@@ -471,6 +491,19 @@ class TestCrossEval:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_repeated_load_fails_before_reading_data(self, workspace, tmp_path, capsys,
+                                                     monkeypatch):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("data files were read for a repeated load")
+
+        monkeypatch.setattr(pipeline, "load_series_by_load", no_reading)
+        out = tmp_path / "xeval"
+        rc = cli.main(["cross-eval", "--config", workspace["config"], "--out", str(out),
+                       "--loads", "a", "b", "a"])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: loads ['a'] given more than once\n"
+        assert not out.exists()
+
 
 class TestCompare:
     def test_outputs_both_tests(self, tmp_path, capsys):
@@ -496,6 +529,15 @@ class TestCompare:
         assert rc == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == (
             f"error: {a}: F1 value {token!r} is not finite\n")
+
+    def test_non_numeric_value_is_validation_error(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("0.9, x, 0.8\n")
+        b = tmp_path / "b.csv"
+        b.write_text("0.8, 0.7, 0.6\n")
+        rc = cli.main(["compare", "--f1-a", str(a), "--f1-b", str(b)])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {a}: F1 value 'x' is not a number\n"
 
     def test_empty_file_is_validation_error(self, tmp_path):
         a = tmp_path / "a.csv"

@@ -86,6 +86,33 @@ class TestLoadRecordings:
         recs = dt.load_recordings(str(tmp_path), dt.read_manifest(path))
         np.testing.assert_array_equal(recs[0].samples, values)
 
+    @pytest.mark.parametrize("ext", [".bin", ".f64", ".raw"])
+    def test_binary_tofile_round_trip(self, tmp_path, ext):
+        values = np.random.default_rng(0).normal(size=37)
+        values.astype("<f8").tofile(tmp_path / f"x{ext}")
+        path = write_manifest(tmp_path, [f"x{ext},0,1,loadA"])
+        recs = dt.load_recordings(str(tmp_path), dt.read_manifest(path))
+        np.testing.assert_array_equal(recs[0].samples, values)
+
+    def test_binary_partial_sample_rejected(self, tmp_path):
+        # np.fromfile would drop the 3 stray bytes and read 3 samples
+        binary = tmp_path / "x.bin"
+        binary.write_bytes(np.array([1.5, -2.25, 3.0]).astype("<f8").tobytes() + b"abc")
+        path = write_manifest(tmp_path, ["x.bin,0,1,loadA"])
+        with pytest.raises(ValueError) as info:
+            dt.load_recordings(str(tmp_path), dt.read_manifest(path))
+        assert str(info.value) == (f"{binary}: 27 bytes is not a whole number "
+                                   "of 8-byte float64 samples")
+
+    def test_binary_channel_other_than_zero_rejected(self, tmp_path):
+        binary = tmp_path / "x.bin"
+        np.arange(4.0).tofile(binary)
+        path = write_manifest(tmp_path, ["x.bin,1,1,loadA"])
+        with pytest.raises(ValueError) as info:
+            dt.load_recordings(str(tmp_path), dt.read_manifest(path))
+        assert str(info.value) == (f"{binary}: a binary recording holds one "
+                                   "channel, so channel must be 0, got 1")
+
     def test_nan_dropped_and_logged(self, tmp_path, caplog):
         write_csv(tmp_path, "n.csv", [1.0, np.nan, 3.0])
         path = write_manifest(tmp_path, ["n.csv,0,0,loadA"])

@@ -6,6 +6,7 @@ features against a direct DFT of a pure tone.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vibgraph import features as ft
 from vibgraph.segmentation import shannon_entropy, default_bin_count
@@ -88,10 +89,53 @@ class TestPsdTop3:
         assert p[2] == 0.0
 
 
+def per_window_row(values, bin_count):
+    """The feature row of one window from numpy scalars: ``std ** 3`` on a
+    numpy float64 is C pow, and the entropy is shannon_entropy's.
+    feature_matrix must match it bit for bit, since graph files embed the
+    features and perfbench pins their sha256."""
+    values = np.asarray(values, dtype=np.float64)
+    w = values.size
+    mean = values.mean()
+    centered = values - mean
+    std = np.sqrt((centered ** 2).mean())
+    if std == 0:
+        moments = [mean, 0.0, 0.0, 0.0]
+    else:
+        moments = [mean, std, (centered ** 3).mean() / std ** 3,
+                   (centered ** 4).mean() / std ** 4]
+    d1 = np.diff(values)
+    psd = ((np.abs(np.fft.rfft(values - values.mean())) ** 2) / w)[1:]
+    top = np.sort(psd)[::-1][:3]
+    amps = np.zeros(3)
+    amps[:top.size] = top
+    return np.array(moments + [shannon_entropy(values, bin_count),
+                               d1.mean(), np.diff(d1).mean(), *amps])
+
+
+@st.composite
+def window_matrices(draw):
+    """An m x w matrix of normal, integer-valued, constant or large-offset
+    windows; constant rows are mixed into the other kinds too."""
+    m, w = draw(st.integers(1, 12)), draw(st.integers(4, 140))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["normal", "integer", "constant", "offset"]))
+    if kind == "integer":
+        V = rng.integers(-3, 4, size=(m, w)).astype(float)
+    elif kind == "constant":
+        V = np.repeat(rng.normal(size=(m, 1)) * 10.0 ** rng.integers(-3, 4), w, axis=1)
+    else:
+        V = rng.normal(size=(m, w)) * draw(st.sampled_from([1e-6, 1.0, 1e6]))
+        if kind == "offset":
+            V += draw(st.sampled_from([1e3, 1e9, -1e9]))
+    V[rng.random(m) < 0.2] = draw(st.floats(-10, 10))
+    return V
+
+
 class TestSegmentFeatures:
     def test_layout_matches_parts(self):
         vals = np.random.default_rng(3).normal(size=40)
-        row = ft.segment_features(vals)
+        row = ft.feature_matrix(vals[None])[0]
         assert row.shape == (ft.FEATURE_DIM,)
         assert tuple(row[0:4]) == ft.stat_features(vals)
         assert row[4] == shannon_entropy(vals, default_bin_count(40))
@@ -105,7 +149,27 @@ class TestSegmentFeatures:
                             rng.integers(-2, 3, size=(3, 20)), np.full((1, 20), 0.5)])
         M = ft.feature_matrix(values)
         assert M.shape == (8, 10)
-        np.testing.assert_array_equal(M, [ft.segment_features(row) for row in values])
+        np.testing.assert_array_equal(M, [ft.feature_matrix(row[None])[0] for row in values])
+        np.testing.assert_array_equal(M[-1, 1:4], 0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(window_matrices())
+    def test_equals_per_window_rows_bit_for_bit(self, V):
+        bins = default_bin_count(V.shape[1])
+        want = np.array([per_window_row(row, bins) for row in V])
+        got = ft.feature_matrix(V)
+        # a constant window of tiny values (|x| < 1e-90 or so) has sigma**3
+        # underflow to 0 and a NaN skewness, in both
+        assert np.array_equal(got, want, equal_nan=True)
+        assert got.tobytes() == want.tobytes()      # tells -0.0 from 0.0 too
+
+    @pytest.mark.parametrize("fn, least", [(ft.stat_features, 2),
+                                           (ft.temporal_features, 3),
+                                           (ft.psd_top3, 4)])
+    def test_length_checked_on_last_axis(self, fn, least):
+        with pytest.raises(ValueError, match=f"needs at least {least} samples"):
+            fn(np.zeros((50, least - 1)))
+        assert all(np.shape(v) == (50,) for v in fn(np.ones((50, least))))
 
 
 class TestMinMaxScaler:
