@@ -8,7 +8,6 @@ reverse topological order and accumulates gradients additively.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 
 class ShapeError(ValueError):
@@ -203,6 +202,7 @@ def row_sum(x: np.ndarray, nbrs) -> np.ndarray:
 
 
 def _spmm(A: np.ndarray, X: np.ndarray, nbrs) -> np.ndarray:
+    from scipy.sparse import csr_matrix     # here, so that importing vibgraph skips scipy
     m = len(nbrs.indptr) - 1
     return np.hstack([csr_matrix((A[:, k], nbrs.cols, nbrs.indptr), shape=(m, m)) @ Xk
                       for k, Xk in enumerate(np.split(X, A.shape[1], axis=1))])

@@ -11,7 +11,7 @@ import numpy as np
 from .checks import atomic_write_text, numbers, read_json, write_json
 
 DEFAULT_PAIR_BUDGET = 2_000_000
-_PAIR_CHUNK = 4096          # pairs per batched DTW call, bounds its w x w cost cube
+_PAIR_CHUNK = 4096          # pairs per batched DTW call, bounds its (w+1, P) rows
 
 
 def dtw_distance(a, b) -> float:
@@ -47,25 +47,28 @@ class PairBudgetError(RuntimeError):
 def _batched_dtw_equal_length(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """DTW distances for P aligned pairs of equal-length sequences.
 
-    A, B have shape (P, w). The DP runs over the w x w grid with the pair
-    axis vectorized and stored last, so each cell update reads and writes
-    contiguous P-vectors; per cell it takes the same minima in the same
-    order as ``dtw_distance``, so the results are bit-identical to it.
+    A, B have shape (P, w). The DP runs row by row over the w x w grid with
+    the pair axis vectorized and stored last, so each cell update reads and
+    writes contiguous P-vectors. Only two (w+1, P) DP rows and one (w, P)
+    cost row are held, O(w P) memory. Per cell it takes the same minima in
+    the same order as ``dtw_distance``, so the results are bit-identical to it.
     """
     P, w = A.shape
     At, Bt = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
-    cost = At[:, None, :] - Bt[None, :, :]
-    np.abs(cost, out=cost)
-    D = np.full((w + 1, w + 1, P), np.inf)
-    D[0, 0] = 0.0
+    prev, cur = np.full((w + 1, P), np.inf), np.full((w + 1, P), np.inf)
+    prev[0] = 0.0
+    c = np.empty((w, P))
     t = np.empty(P)
-    for i in range(1, w + 1):
-        c, prev, cur = cost[i - 1], D[i - 1], D[i]
+    for i in range(w):
+        np.subtract(At[i], Bt, out=c)
+        np.abs(c, out=c)
+        cur[0] = np.inf
         for j in range(1, w + 1):
             np.minimum(prev[j], cur[j - 1], out=t)
             np.minimum(t, prev[j - 1], out=t)
             np.add(c[j - 1], t, out=cur[j])
-    return D[w, w]
+        prev, cur = cur, prev
+    return prev[w]
 
 
 def check_pair_budget(m: int, max_pairs_budget: int) -> int:

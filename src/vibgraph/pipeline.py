@@ -194,7 +194,13 @@ def build_graph_from_series(series: TimeSeries, cfg: dict):
     values, starts, labels = segment(series, w_star, step)
     check_pair_budget(len(values), cfg["pair_budget"])    # refused before the features
 
-    raw = feature_matrix(values, bin_count)
+    with np.errstate(invalid="ignore", over="ignore"):   # reported below, by window
+        raw = feature_matrix(values, bin_count)
+    bad = ~np.isfinite(raw).all(axis=1)
+    if bad.any():       # moments of tiny or huge samples under- or overflow
+        k = int(np.argmax(bad))
+        raise ValueError(f"window {k} (start {starts[k]}) gives non-finite node "
+                         "features; rescale the samples")
     normalized, scaler = minmax_normalize(raw)
 
     distances = pairwise_distances(values, cfg["pair_budget"])

@@ -160,10 +160,17 @@ def select_window(series: TimeSeries, candidates, step: int = 1,
                            scores=scores)
 
 
-def majority_label(labels: np.ndarray) -> int:
-    """Most frequent class id; ties go to the lowest id."""
-    ids, counts = np.unique(labels, return_counts=True)
-    return int(ids[np.argmax(counts)])
+def window_labels(labels: np.ndarray, w: int, step: int) -> np.ndarray:
+    """Most frequent class id of each window of ``labels``; ties go to the
+    lowest id. Each window is sorted, and the first position at which a run
+    of equal ids reaches the longest run length ends the lowest such id."""
+    L = np.sort(windows(labels, w, step), axis=1)
+    pos = np.arange(w)
+    new_run = np.ones(L.shape, dtype=bool)
+    new_run[:, 1:] = L[:, 1:] != L[:, :-1]
+    run_start = np.maximum.accumulate(np.where(new_run, pos, 0), axis=1)
+    last = np.argmax(pos - run_start, axis=1)
+    return L[np.arange(len(L)), last]
 
 
 def segment(series: TimeSeries, w: int,
@@ -175,9 +182,7 @@ def segment(series: TimeSeries, w: int,
     """
     values = windows(series.samples, w, step).copy()
     starts = np.arange(len(values)) * step
-    labels = np.array([majority_label(row) for row in windows(series.labels, w, step)],
-                      dtype=np.int64)
-    return values, starts, labels
+    return values, starts, window_labels(series.labels, w, step)
 
 
 def default_stride(w_star: int) -> int:

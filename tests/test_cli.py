@@ -1,7 +1,11 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +148,27 @@ class TestBuildGraph:
         assert capsys.readouterr().err == (
             "error: a window of 8 samples spans too narrow a range for "
             "bin_count = 3 equal-width entropy bins\n")
+        assert not (tmp_path / "g.json").exists()
+
+    def test_non_finite_features_are_validation_error(self, workspace, tmp_path, capsys,
+                                                      monkeypatch):
+        # near 1e-100 the window's sigma**4 underflows to 0, and kurtosis is 0/0
+        x = 1e-100 * (1 + 1e-3 * np.random.default_rng(0).standard_normal(400))
+        (tmp_path / "tiny.csv").write_text("\n".join(map(repr, x.tolist())) + "\n")
+        (tmp_path / "manifest.csv").write_text(
+            "file,channel,fault_class,load_tag\ntiny.csv,0,0,t\n")
+
+        def no_dtw(*args, **kwargs):
+            raise AssertionError("DTW ran on windows with non-finite features")
+
+        monkeypatch.setattr(pipeline, "pairwise_distances", no_dtw)
+        rc = cli.main(["build-graph", "--config", workspace["config"],
+                       "--data-dir", str(tmp_path), "--load", "t",
+                       "--out", str(tmp_path / "g.json")])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: window 0 (start 0) gives non-finite node features; "
+            "rescale the samples\n")
         assert not (tmp_path / "g.json").exists()
 
     def test_pair_budget_exit_code(self, workspace, tmp_path):
@@ -572,3 +597,15 @@ class TestDtwHeatmap:
         assert rc == cli.EXIT_VALIDATION
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "m x w matrix" in err
+
+
+def test_import_leaves_scipy_unloaded():
+    """build-graph never needs scipy, so importing the package and the CLI
+    must not load it; scipy.sparse and scipy.stats load at their first use."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, vibgraph, vibgraph.pipeline, vibgraph.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "[]\n"

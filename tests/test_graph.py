@@ -8,6 +8,7 @@ itself.
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,26 @@ class TestBatchedDtw:
         B[same] = A[same]
         batched = gr._batched_dtw_equal_length(A, B)
         assert batched.tolist() == [gr.dtw_distance(a, b) for a, b in zip(A, B)]
+
+    @pytest.mark.parametrize("w", [1, 2, 64])
+    def test_equals_scalar_at_edge_lengths(self, w):
+        rng = np.random.default_rng(w)
+        A, B = rng.choice([-3.5, 0.0, 0.1, 0.2], size=(2, 50, w))
+        B[::3] = A[::3]
+        batched = gr._batched_dtw_equal_length(A, B)
+        assert batched.tolist() == [gr.dtw_distance(a, b) for a, b in zip(A, B)]
+
+    def test_memory_is_linear_in_window(self):
+        # w x w x P cost and DP cubes would take about 69 MB here
+        rng = np.random.default_rng(3)
+        A, B = rng.normal(size=(1024, 64)), rng.normal(size=(1024, 64))
+        tracemalloc.start()
+        try:
+            gr._batched_dtw_equal_length(A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestSimilarity:

@@ -242,6 +242,20 @@ class TestSegment:
         s = series(np.zeros(4), labels)
         assert seg.segment(s, 4, 4)[2].tolist() == [1]
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(labels=st.lists(st.integers(-3, 3), min_size=1, max_size=60), data=st.data())
+    def test_labels_match_per_window_unique(self, labels, data):
+        w = data.draw(st.integers(1, len(labels)))
+        step = data.draw(st.integers(1, 5))
+        _, _, out = seg.segment(series(np.zeros(len(labels)), labels), w, step)
+
+        def majority(row):      # most frequent id; np.unique sorts, argmax takes the first
+            ids, counts = np.unique(row, return_counts=True)
+            return ids[np.argmax(counts)]
+
+        expected = [majority(labels[i:i + w]) for i in range(0, len(labels) - w + 1, step)]
+        assert out.tolist() == expected
+
     def test_values_are_copies(self):
         s = series(np.arange(6.0))
         values, _, _ = seg.segment(s, 3, 3)
