@@ -2,7 +2,8 @@
 
 Everything is a matrix: scalars are 1x1, vectors are mx1 or 1xn. Ops build a
 dynamic tape (parent links on the output tensors); ``backward`` walks it in
-reverse topological order and accumulates gradients additively.
+reverse topological order, accumulates gradients additively and consumes the
+tape as it goes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class Tensor:
         self.values = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()   # tuple of (parent Tensor, vjp callable)
+        self._parents = ()   # tuple of (parent Tensor, vjp callable); _CONSUMED once walked
         self._op = "leaf"
 
     @property
@@ -67,6 +68,7 @@ class Tape:
 
 
 _ACTIVE_TAPE = None
+_CONSUMED = ("consumed by backward",)   # the parents of a node backward has walked
 
 
 def _make(kind, values, parents):
@@ -274,7 +276,12 @@ def head_mean(X: Tensor, heads: int) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad tensor reachable from ``loss``."""
+    """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
+
+    The graph is consumed as it is walked: each op's vjp closures, and the
+    arrays they hold, are freed once they have run, and each gradient once
+    it has been handed on. A second backward through it is refused.
+    """
     if loss.shape != (1, 1):
         raise ShapeError(f"backward expects a 1x1 scalar loss, got shape {loss.shape}")
 
@@ -286,6 +293,8 @@ def backward(loss: Tensor) -> None:
         if done:
             order.append(node)
             continue
+        if node._parents is _CONSUMED:
+            raise ValueError("backward through a graph already consumed by backward")
         if id(node) in seen:
             continue
         seen.add(id(node))
@@ -294,50 +303,21 @@ def backward(loss: Tensor) -> None:
             if id(parent) not in seen:
                 stack.append((parent, False))
 
+    # a parent still to be walked is held by ``order``, so its id stays valid
     grads = {id(loss): np.ones((1, 1))}
-    for node in reversed(order):
-        g = grads.get(id(node))
-        if g is None:
-            continue
+    while order:
+        node = order.pop()
+        g = grads.pop(id(node))
+        parents = node._parents
+        if parents:
+            node._parents = _CONSUMED
         if node.requires_grad:
             node.grad = g if node.grad is None else node.grad + g
-        for parent, vjp in node._parents:
+        for parent, vjp in parents:
             pg = vjp(g)
-            if id(parent) in grads:
-                grads[id(parent)] = grads[id(parent)] + pg
-            else:
-                grads[id(parent)] = pg
-
-
-def grad_check(f, x: Tensor, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f`` maps a Tensor to a scalar Tensor and must be deterministic
-    (seed any randomness before each call).
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x.grad = None
-    loss = f(x)
-    backward(loss)
-    analytic = x.grad if x.grad is not None else np.zeros(x.shape)
-
-    numeric = np.zeros(x.shape)
-    base = x.values.copy()
-    for ij in np.ndindex(x.shape):
-        x.values = base.copy()
-        x.values[ij] += h
-        up = f(x).item()
-        x.values = base.copy()
-        x.values[ij] -= h
-        dn = f(x).item()
-        if not (np.isfinite(up) and np.isfinite(dn)):
-            raise DomainError("function non-finite at perturbed point")
-        numeric[ij] = (up - dn) / (2.0 * h)
-    x.values = base
-
-    denom = np.maximum(1.0, np.abs(analytic))
-    return float(np.max(np.abs(analytic - numeric) / denom))
+            key = id(parent)
+            grads[key] = grads[key] + pg if key in grads else pg
+        node = g = parents = parent = vjp = pg = None    # free them before the next vjp
 
 
 # ---------------------------------------------------------------------------

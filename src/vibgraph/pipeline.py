@@ -8,6 +8,8 @@ import json
 import math
 import operator
 import os
+import re
+import tomllib
 from dataclasses import asdict
 
 import numpy as np
@@ -59,32 +61,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_value(raw: str):
-    """A scalar, or a flat list of scalars; lists do not nest."""
-    raw = raw.strip()
-    if raw.startswith("[") and raw.endswith("]"):
-        inner = raw[1:-1].strip()
-        return [_parse_scalar(tok) for tok in inner.split(",")] if inner else []
-    return _parse_scalar(raw)
-
-
-def _parse_scalar(raw: str):
-    raw = raw.strip()
-    if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
-        return raw[1:-1]
-    if raw in ("true", "false"):
-        return raw == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    return raw
-
-
 def _typed(key, value):
     """``value`` as the setting ``key`` takes it: an int is accepted for a
     float setting; any other type than the default's is a ConfigError."""
@@ -100,21 +76,25 @@ def _typed(key, value):
     return value
 
 
+# a key whose value opens with a nested list or table: `key = [[`, `key = [{`, ...
+_NESTED = re.compile(r"^\s*([\w-]+)\s*=\s*[\[{]\s*[\[{]", re.M)
+
+
 def parse_config_text(text: str) -> dict:
-    """Flat `key = value` config (TOML-compatible subset); unknown keys rejected."""
+    """Flat TOML config of `key = value` lines; unknown keys and tables rejected."""
+    try:
+        doc = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(f"invalid TOML: {exc}") from None
+    except RecursionError:      # tomllib recurses into each nested bracket
+        nested = _NESTED.search(text)
+        raise ConfigError(f"{nested[1] if nested else 'a value'} nests too deeply; "
+                          "config lists hold scalars") from None
     cfg = dict(DEFAULT_CONFIG)
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, raw = stripped.split("=", 1)
-        key = key.strip()
-        try:
-            cfg[key] = _typed(key, _parse_value(raw))
-        except ConfigError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            raise ConfigError(f"{key!r} is a table; the config is flat `key = value` lines")
+        cfg[key] = _typed(key, value)
     return cfg
 
 

@@ -1,5 +1,5 @@
 """Classification metrics, confusion matrices, and significance tests
-(Welch two-sample t, paired t, Wilcoxon signed-rank with exact small-n p)."""
+(paired t, Wilcoxon signed-rank with exact small-n p)."""
 
 from __future__ import annotations
 
@@ -50,19 +50,6 @@ class EvaluationReport:
 
     def save(self, path):
         write_json(path, self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(confusion=np.asarray(d["confusion"], dtype=np.int64),
-                   precision=np.asarray(d["precision"]),
-                   recall=np.asarray(d["recall"]),
-                   f1=np.asarray(d["f1"]),
-                   macro_precision=d["macro_precision"],
-                   macro_recall=d["macro_recall"],
-                   macro_f1=d["macro_f1"],
-                   accuracy=d["accuracy"],
-                   train_source=d.get("train_source", ""),
-                   test_source=d.get("test_source", ""))
 
 
 # ---------------------------------------------------------------------------
@@ -133,30 +120,6 @@ def _t_tail(t, df):
     """P(T > |t|) for Student's t with ``df`` degrees of freedom."""
     from scipy import stats as sps
     return float(sps.t.sf(abs(t), df))
-
-
-def two_sample_ttest(sample_a, sample_b) -> TestResult:
-    """Welch's unequal-variance t-test with Welch-Satterthwaite df, two-sided."""
-    a = np.asarray(sample_a, dtype=np.float64)
-    b = np.asarray(sample_b, dtype=np.float64)
-    if len(a) < 2 or len(b) < 2:
-        raise ValueError("each sample needs at least 2 observations")
-    va, vb = a.var(ddof=1), b.var(ddof=1)
-    na, nb = len(a), len(b)
-    se2 = va / na + vb / nb
-    diff = a.mean() - b.mean()
-    if se2 == 0:
-        # both samples constant
-        if diff == 0:
-            t, p = 0.0, 1.0
-        else:
-            t, p = float(np.sign(diff)) * np.inf, 0.0
-    else:
-        t = diff / np.sqrt(se2)
-        df = se2 ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
-        p = 2.0 * _t_tail(t, df)
-    return TestResult(kind="two_sample_t", statistic=float(t), p_value=p,
-                      significant_at_0_05=p < 0.05)
 
 
 def paired_ttest(sample_a, sample_b) -> TestResult:

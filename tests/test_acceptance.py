@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from vibgraph import autodiff as ad
 from vibgraph import ensemble as en
 from vibgraph import gae, pipeline, stats, synthetic
 from vibgraph.graph import FaultGraph, dtw_distance
@@ -20,6 +19,7 @@ from vibgraph.segmentation import TimeSeries, default_bin_count, \
     select_window, shannon_entropy
 
 from fixtures import PER_CLASS_F1, PUBLISHED_PAIRED_T, THREE_HP_RUNS
+from gradcheck import grad_check
 
 
 def _verdict(num, ok, desc, detail=""):
@@ -132,7 +132,7 @@ def test_criterion_03_gradient_integrity():
     for t in params.values():
         def f(v):
             return gae.forward_loss(graph, params, config, eps)["L"]
-        worst = max(worst, ad.grad_check(f, t))
+        worst = max(worst, grad_check(f, t))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-4 and elapsed < 10.0
     _verdict(3, ok, "full-model gradients match finite differences",

@@ -5,11 +5,15 @@ textbook (sigmoid, softmax), and central differences via grad_check for
 composite expressions.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
 from vibgraph import autodiff as ad
 from vibgraph.graph import FaultGraph, Neighbors
+
+from gradcheck import grad_check
 
 
 def t(values, rg=False):
@@ -234,11 +238,42 @@ class TestBackward:
         ad.backward(ad.tsum(ad.square(x)))
         assert x.grad is None
 
+    def test_backward_frees_intermediates(self):
+        a = t([[1.0, -2.0], [3.0, 0.5]], rg=True)
+        b = t([[0.5, -1.0], [2.0, 1.0]], rg=True)
+        h = ad.matmul(a, b)
+        freed = weakref.ref(h.values)
+        loss = ad.tsum(ad.relu(h))
+        del h
+        assert freed() is not None      # held by the graph until backward
+        ad.backward(loss)
+        assert freed() is None
+        G = (a.values @ b.values > 0).astype(float)
+        np.testing.assert_allclose(a.grad, G @ b.values.T)
+        np.testing.assert_allclose(b.grad, a.values.T @ G)
+
+    def test_second_backward_refused(self):
+        x = t([[2.0]], rg=True)
+        h = ad.square(x)
+        loss = ad.tsum(h)
+        ad.backward(loss)
+        with pytest.raises(ValueError, match="already consumed by backward"):
+            ad.backward(loss)
+        with pytest.raises(ValueError, match="already consumed by backward"):
+            ad.backward(ad.tsum(ad.exp(h)))     # shares the consumed ``h``
+        np.testing.assert_allclose(x.grad, [[4.0]])
+
+    def test_fresh_graph_per_step_accumulates(self):
+        x = t([[2.0]], rg=True)
+        for _ in range(2):
+            ad.backward(ad.tsum(ad.square(x)))
+        np.testing.assert_allclose(x.grad, [[8.0]])
+
 
 class TestGradCheck:
     def test_quadratic(self):
         x = t(np.random.default_rng(0).normal(size=(3, 3)), rg=True)
-        assert ad.grad_check(lambda v: ad.tsum(ad.square(v)), x) < 1e-8
+        assert grad_check(lambda v: ad.tsum(ad.square(v)), x) < 1e-8
 
     def test_deep_composite(self):
         rng = np.random.default_rng(7)
@@ -250,7 +285,7 @@ class TestGradCheck:
             h = ad.elu(ad.matmul(v, W1))
             return ad.tsum(ad.square(ad.sigmoid(ad.matmul(h, W2))))
 
-        assert ad.grad_check(f, x) < 1e-6
+        assert grad_check(f, x) < 1e-6
 
     def test_softmax_chain(self):
         x = t(np.random.default_rng(3).normal(size=(4, 6)), rg=True)
@@ -258,7 +293,7 @@ class TestGradCheck:
         def f(v):
             return ad.tsum(ad.square(ad.row_softmax(v)))
 
-        assert ad.grad_check(f, x) < 1e-6
+        assert grad_check(f, x) < 1e-6
 
     def test_masked_softmax_chain(self):
         rng = np.random.default_rng(5)
@@ -271,7 +306,7 @@ class TestGradCheck:
         def f(v):
             return ad.tsum(ad.square(ad.edge_softmax(v, nbrs)))
 
-        assert ad.grad_check(f, x) < 1e-6
+        assert grad_check(f, x) < 1e-6
 
     @pytest.mark.parametrize("op", ["head_dot", "edge_sum", "edge_softmax", "spmm",
                                     "sddmm", "head_mean"])
@@ -292,12 +327,12 @@ class TestGradCheck:
             def f(v):
                 return ad.tsum(ad.mul(getattr(ad, op)(*inputs, *args), R))
 
-            assert ad.grad_check(f, x) < 1e-8
+            assert grad_check(f, x) < 1e-8
             x.requires_grad = False
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
-            ad.grad_check(ad.tsum, t([[1.0]], rg=True), h=0.0)
+            grad_check(ad.tsum, t([[1.0]], rg=True), h=0.0)
 
 
 class TestTape:

@@ -34,6 +34,14 @@ cv_folds = 3
 """
 
 
+def config_text(data_dir, line=""):
+    """FAST_CONFIG with ``data_dir`` and one more ``key = value`` line, which
+    replaces FAST_CONFIG's own line for that key: TOML refuses a key set twice."""
+    key = line.partition("=")[0].strip()
+    kept = [ln for ln in FAST_CONFIG.splitlines() if ln.partition("=")[0].strip() != key]
+    return "\n".join(kept + [f'data_dir = "{data_dir}"', line]) + "\n"
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -41,7 +49,7 @@ def workspace(tmp_path_factory):
     synthetic.write_synthetic_load_files(str(data_dir), loads=("a", "b"),
                                          n_chunks_per_class=4, chunk_len=150)
     config = root / "config.toml"
-    config.write_text(FAST_CONFIG + f'data_dir = "{data_dir}"\n')
+    config.write_text(config_text(data_dir))
     return {"root": root, "config": str(config), "data_dir": str(data_dir)}
 
 
@@ -107,8 +115,7 @@ class TestBuildGraph:
     def test_bad_setting_fails_before_reading_data(self, workspace, tmp_path, capsys,
                                                    monkeypatch, line, message):
         config = tmp_path / "bad.toml"
-        config.write_text(FAST_CONFIG + f'data_dir = "{workspace["data_dir"]}"\n'
-                          + line + "\n")
+        config.write_text(config_text(workspace["data_dir"], line))
 
         def no_reading(*args, **kwargs):
             raise AssertionError("data files were read under an invalid config")
@@ -173,9 +180,7 @@ class TestBuildGraph:
 
     def test_pair_budget_exit_code(self, workspace, tmp_path):
         config = tmp_path / "tight.toml"
-        config.write_text(FAST_CONFIG
-                          + f'data_dir = "{workspace["data_dir"]}"\n'
-                          + "pair_budget = 10\n")
+        config.write_text(config_text(workspace["data_dir"], "pair_budget = 10"))
         rc = cli.main(["build-graph", "--config", str(config), "--load", "a",
                        "--out", str(tmp_path / "g.json")])
         assert rc == cli.EXIT_BUDGET
@@ -183,9 +188,7 @@ class TestBuildGraph:
     def test_pair_budget_refused_before_features(self, workspace, tmp_path, capsys,
                                                  monkeypatch):
         config = tmp_path / "tight.toml"
-        config.write_text(FAST_CONFIG
-                          + f'data_dir = "{workspace["data_dir"]}"\n'
-                          + "pair_budget = 1\n")
+        config.write_text(config_text(workspace["data_dir"], "pair_budget = 1"))
 
         def no_features(*args, **kwargs):
             raise AssertionError("features were computed past the pair budget")
@@ -239,9 +242,7 @@ class TestTrain:
                                                         tmp_path, capsys,
                                                         monkeypatch):
         config = tmp_path / "bad.toml"
-        config.write_text(FAST_CONFIG
-                          + f'data_dir = "{workspace["data_dir"]}"\n'
-                          + "cv_folds = 0\n")
+        config.write_text(config_text(workspace["data_dir"], "cv_folds = 0"))
 
         def no_training(*args, **kwargs):
             raise AssertionError("the GAE trained on an invalid config")
@@ -256,9 +257,7 @@ class TestTrain:
     def test_bad_gae_setting_fails_before_training(self, workspace, built, tmp_path,
                                                    capsys, monkeypatch):
         config = tmp_path / "bad.toml"
-        config.write_text(FAST_CONFIG
-                          + f'data_dir = "{workspace["data_dir"]}"\n'
-                          + "learning_rate = -1.0\n")
+        config.write_text(config_text(workspace["data_dir"], "learning_rate = -1.0"))
 
         def no_training(*args, **kwargs):
             raise AssertionError("the GAE trained on an invalid config")
@@ -503,8 +502,7 @@ class TestCrossEval:
     def test_bad_setting_fails_before_building_graphs(self, workspace, tmp_path, capsys,
                                                       monkeypatch, line, message):
         config = tmp_path / "bad.toml"
-        config.write_text(FAST_CONFIG + f'data_dir = "{workspace["data_dir"]}"\n'
-                          + line + "\n")
+        config.write_text(config_text(workspace["data_dir"], line))
 
         def no_reading(*args, **kwargs):
             raise AssertionError("data files were read under an invalid config")

@@ -6,6 +6,7 @@ diagnostics.
 """
 
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -16,6 +17,8 @@ from vibgraph import autodiff as ad
 from vibgraph import gae
 from vibgraph.autodiff import Tensor
 from vibgraph.graph import FaultGraph
+
+from gradcheck import grad_check
 
 
 def small_config(**kw):
@@ -420,7 +423,7 @@ class TestGradientIntegrity:
         for name, t in params.items():
             def f(v, name=name):
                 return gae.forward_loss(g, params, c, eps)["L"]
-            worst = max(worst, ad.grad_check(f, t))
+            worst = max(worst, grad_check(f, t))
         assert worst < 1e-4
 
 
@@ -497,6 +500,30 @@ class TestTraining:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError):
             gae.train(ring_graph(m=6), small_config())
+
+    def test_peak_memory_within_twice_forward_outputs(self):
+        # backward frees each op's saved arrays as it passes them, so one
+        # epoch peaks well under twice the bytes the forward pass computes
+        rng = np.random.default_rng(0)
+        m = 200
+        iu, ju = np.triu_indices(m, 1)
+        keep = rng.random(len(iu)) < 0.05
+        g = FaultGraph(node_features=rng.random((m, gae.FEATURE_DIM)),
+                       node_labels=np.arange(m) % 3,
+                       edges=[(i, j, 0.5) for i, j in zip(iu[keep].tolist(), ju[keep].tolist())])
+        config = gae.GaeConfig(epochs=1)
+        params = gae.init_params(config, np.random.default_rng(0))
+        with ad.Tape() as tape:
+            gae.forward_loss(g, params, config, np.zeros((m, config.latent_dim)))
+        forward_bytes = sum(out.values.nbytes for _, _, out in tape.ops)
+        del tape, params
+        tracemalloc.start()
+        try:
+            gae.train(g, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * forward_bytes, (peak, forward_bytes)
 
 
 class TestModelIO:

@@ -66,6 +66,28 @@ class TestConfigParsing:
         with pytest.raises(pl.ConfigError):
             pl.parse_config_text("epochs 50\n")
 
+    def test_hash_inside_a_string_is_not_a_comment(self):
+        cfg = pl.parse_config_text('data_dir = "/data/run#2"  # comment\n')
+        assert cfg["data_dir"] == "/data/run#2"
+
+    def test_text_after_a_string_rejected(self):
+        with pytest.raises(pl.ConfigError, match="invalid TOML"):
+            pl.parse_config_text('manifest = "a.csv" extra\n')
+
+    def test_bare_string_rejected(self):
+        with pytest.raises(pl.ConfigError, match="invalid TOML"):
+            pl.parse_config_text("reducer = mean\n")
+
+    def test_key_set_twice_rejected(self):
+        with pytest.raises(pl.ConfigError, match="invalid TOML"):
+            pl.parse_config_text("epochs = 5\nepochs = 6\n")
+
+    @pytest.mark.parametrize("text", ["[gae]\nepochs = 5\n", "gae.epochs = 5\n",
+                                      "epochs = {value = 5}\n"])
+    def test_tables_rejected(self, text):
+        with pytest.raises(pl.ConfigError, match="is a table"):
+            pl.parse_config_text(text)
+
     def test_overrides_applied(self, tmp_path):
         path = tmp_path / "c.toml"
         path.write_text("epochs = 5\n")
