@@ -146,19 +146,6 @@ def relu(a: Tensor) -> Tensor:
                  [(a, lambda g: g * mask)])
 
 
-def leaky_relu(a: Tensor, slope: float) -> Tensor:
-    mask = a.values > 0
-    return _make("leaky_relu", np.where(mask, a.values, slope * a.values),
-                 [(a, lambda g: g * np.where(mask, 1.0, slope))])
-
-
-def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
-    mask = a.values > 0
-    ex = np.exp(np.minimum(a.values, 0.0))
-    out = np.where(mask, a.values, alpha * (ex - 1.0))
-    return _make("elu", out, [(a, lambda g: g * np.where(mask, 1.0, alpha * ex))])
-
-
 def sigmoid(a: Tensor) -> Tensor:
     s = 1.0 / (1.0 + np.exp(-a.values))
     return _make("sigmoid", s, [(a, lambda g: g * s * (1.0 - s))])
@@ -195,7 +182,8 @@ def tsum(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # edge ops over a CSR neighbourhood view ``nbrs`` (``graph.Neighbors``): edge
 # tensors hold one row per entry and one column per head, node tensors hold
-# head k in column block k
+# head k in column block k; the pattern is symmetric, so an edge array
+# transposed is that array [perm] on the same pattern
 
 
 def row_sum(x: np.ndarray, nbrs) -> np.ndarray:
@@ -225,50 +213,79 @@ def head_dot(X: Tensor, a: Tensor) -> Tensor:
                   (a, lambda g: np.einsum("ikh,ik->hk", X3, g))])
 
 
-def edge_sum(u: Tensor, v: Tensor, nbrs) -> Tensor:
-    """out[e] = u[rows[e]] + v[cols[e]]."""
-    _check("edge_sum", u.shape == v.shape and len(u.values) == len(nbrs.indptr) - 1, u, v)
-    return _make("edge_sum", u.values[nbrs.rows] + v.values[nbrs.cols],
-                 [(u, lambda g: row_sum(g, nbrs)),
-                  (v, lambda g: row_sum(g[nbrs.perm], nbrs))])
+def _once(f):
+    """``f`` computed at the first call only: backward hands every parent's
+    vjp of one op the same upstream gradient, so a part they share is
+    computed once and dies with the op's closures."""
+    memo = []
+
+    def shared(g):
+        if not memo:
+            memo.append(f(g))
+        return memo[0]
+    return shared
 
 
-def edge_softmax(E: Tensor, nbrs) -> Tensor:
+def _edge_softmax(E: np.ndarray, nbrs) -> np.ndarray:
     """Softmax of each column of ``E`` over each row's entries."""
-    _check("edge_softmax", len(E.values) == len(nbrs.rows), E)
     if (np.diff(nbrs.indptr) == 0).any():
-        raise DomainError("edge_softmax over a row with no entries")
-    e = np.exp(E.values - np.maximum.reduceat(E.values, nbrs.indptr[:-1])[nbrs.rows])
-    s = e / row_sum(e, nbrs)[nbrs.rows]
-    return _make("edge_softmax", s,
-                 [(E, lambda g: s * (g - row_sum(g * s, nbrs)[nbrs.rows]))])
+        raise DomainError("edge softmax over a row with no entries")
+    e = np.exp(E - np.maximum.reduceat(E, nbrs.indptr[:-1])[nbrs.rows])
+    return e / row_sum(e, nbrs)[nbrs.rows]
 
 
-def spmm(A: Tensor, X: Tensor, nbrs) -> Tensor:
-    """out[i, block k] = sum of A[e, k] * X[cols[e], block k] over row i's entries e."""
+def _edge_softmax_vjp(s: np.ndarray, g: np.ndarray, nbrs) -> np.ndarray:
+    return s * (g - row_sum(g * s, nbrs)[nbrs.rows])
+
+
+def gat_attention(u: Tensor, v: Tensor, nbrs, slope: float) -> Tensor:
+    """Edge softmax of LeakyReLU(u[rows[e]] + v[cols[e]]); saves the softmax
+    and the sign mask of the scores."""
+    _check("gat_attention", u.shape == v.shape and len(u.values) == len(nbrs.indptr) - 1,
+           u, v)
+    E = u.values[nbrs.rows] + v.values[nbrs.cols]
+    mask = E > 0
+    s = _edge_softmax(np.where(mask, E, slope * E), nbrs)
+    gE = _once(lambda g: _edge_softmax_vjp(s, g, nbrs) * np.where(mask, 1.0, slope))
+    return _make("gat_attention", s,
+                 [(u, lambda g: row_sum(gE(g), nbrs)),
+                  (v, lambda g: row_sum(gE(g)[nbrs.perm], nbrs))])
+
+
+def dot_attention(Q: Tensor, K: Tensor, nbrs, heads: int, scale: float) -> Tensor:
+    """Edge softmax of scale * Q[rows[e], block k] . K[cols[e], block k], the
+    scores read off Q_k K_k^T; saves the softmax."""
+    _check("dot_attention", Q.shape == K.shape and len(Q.values) == len(nbrs.indptr) - 1
+           and Q.shape[1] % heads == 0, Q, K)
+    scale = float(scale)
+    s = _edge_softmax(_sddmm(Q.values, K.values, nbrs, heads) * scale, nbrs)
+    gS = _once(lambda g: _edge_softmax_vjp(s, g, nbrs) * scale)
+    return _make("dot_attention", s,
+                 [(Q, lambda g: _spmm(gS(g), K.values, nbrs)),
+                  (K, lambda g: _spmm(gS(g)[nbrs.perm], Q.values, nbrs))])
+
+
+def aggregate(A: Tensor, X: Tensor, nbrs, act: str) -> Tensor:
+    """Mean over heads k of act(sum of A[e, k] * X[cols[e], block k] over row
+    i's entries e), ``act`` "relu" or "elu"; saves the sign mask (and the
+    exponential for ELU), not the per-head sums or activations."""
     heads = A.shape[1]
-    _check("spmm", len(A.values) == len(nbrs.rows) and len(X.values) == len(nbrs.indptr) - 1,
-           A, X)
-    # the pattern is symmetric, so A transposed is A[perm] on the same pattern
-    return _make("spmm", _spmm(A.values, X.values, nbrs),
-                 [(A, lambda g: _sddmm(g, X.values, nbrs, heads)),
-                  (X, lambda g: _spmm(A.values[nbrs.perm], g, nbrs))])
-
-
-def sddmm(P: Tensor, Q: Tensor, nbrs, heads: int) -> Tensor:
-    """out[e, k] = P[rows[e], block k] . Q[cols[e], block k], read off P_k Q_k^T."""
-    _check("sddmm", P.shape == Q.shape and len(P.values) == len(nbrs.indptr) - 1
-           and P.shape[1] % heads == 0, P, Q)
-    return _make("sddmm", _sddmm(P.values, Q.values, nbrs, heads),
-                 [(P, lambda g: _spmm(g, Q.values, nbrs)),
-                  (Q, lambda g: _spmm(g[nbrs.perm], P.values, nbrs))])
-
-
-def head_mean(X: Tensor, heads: int) -> Tensor:
-    """Average of the column blocks of ``X``, one per head."""
-    _check("head_mean", X.shape[1] % heads == 0, X)
-    return _make("head_mean", X.values.reshape(len(X.values), heads, -1).mean(axis=1),
-                 [(X, lambda g: np.tile(g / heads, heads))])
+    _check("aggregate", len(A.values) == len(nbrs.rows)
+           and len(X.values) == len(nbrs.indptr) - 1 and X.shape[1] % heads == 0, A, X)
+    P = _spmm(A.values, X.values, nbrs)
+    mask = P > 0
+    if act == "relu":
+        P = np.where(mask, P, 0.0)
+    elif act == "elu":
+        ex = np.exp(np.minimum(P, 0.0))
+        P = np.where(mask, P, ex - 1.0)
+    else:
+        raise ValueError(f"aggregate: act must be 'relu' or 'elu', got {act!r}")
+    gP = _once(lambda g: np.tile(g / heads, heads)
+               * (mask if act == "relu" else np.where(mask, 1.0, ex)))
+    return _make("aggregate", P.reshape(len(P), heads, -1).mean(axis=1),
+                 [(A, lambda g: _sddmm(gP(g), X.values, nbrs, heads)),
+                  (X, lambda g: _spmm(A.values[nbrs.perm], gP(g), nbrs))])
 
 
 # ---------------------------------------------------------------------------

@@ -127,9 +127,8 @@ def gat_layer(H: Tensor, nbrs: Neighbors, W: Tensor, a_src: Tensor, a_dst: Tenso
     with one row per entry and one column per head).
     """
     XW = ad.matmul(H, W)
-    E = ad.edge_sum(ad.head_dot(XW, a_src), ad.head_dot(XW, a_dst), nbrs)
-    A = ad.edge_softmax(ad.leaky_relu(E, LEAKY_SLOPE), nbrs)
-    return ad.head_mean(ad.relu(ad.spmm(A, XW, nbrs)), A.shape[1]), A
+    A = ad.gat_attention(ad.head_dot(XW, a_src), ad.head_dot(XW, a_dst), nbrs, LEAKY_SLOPE)
+    return ad.aggregate(A, XW, nbrs, "relu"), A
 
 
 def transformer_conv_layer(H: Tensor, nbrs: Neighbors, Wq: Tensor, Wk: Tensor,
@@ -139,9 +138,8 @@ def transformer_conv_layer(H: Tensor, nbrs: Neighbors, Wq: Tensor, Wk: Tensor,
     d_h = Wq.shape[0]
     heads = Wq.shape[1] // d_h
     Q, K, V = (ad.matmul(H, P) for P in (Wq, Wk, Wv))
-    scores = ad.scalar_mul(ad.sddmm(Q, K, nbrs, heads), 1.0 / np.sqrt(d_h))
-    A = ad.edge_softmax(scores, nbrs)
-    return ad.head_mean(ad.elu(ad.spmm(A, V, nbrs)), heads), A
+    A = ad.dot_attention(Q, K, nbrs, heads, 1.0 / np.sqrt(d_h))
+    return ad.aggregate(A, V, nbrs, "elu"), A
 
 
 def encode(graph: FaultGraph, params: dict, config: GaeConfig):
@@ -300,8 +298,10 @@ def train(graph: FaultGraph, config: GaeConfig) -> TrainedGAE:
 
 
 def embed(graph: FaultGraph, model: TrainedGAE) -> np.ndarray:
-    """Deterministic encoder forward; returns the m x hidden_dim H2 embedding."""
-    _, _, H2, _ = encode(graph, model.params, model.config)
+    """Deterministic encoder forward; returns the m x hidden_dim H2 embedding.
+    It runs on detached views of the parameters, so no op keeps its inputs."""
+    params = {name: Tensor(t.values) for name, t in model.params.items()}
+    _, _, H2, _ = encode(graph, params, model.config)
     return H2.values
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from vibgraph import autodiff as ad
+from vibgraph import gae
 from vibgraph.graph import FaultGraph, Neighbors
 
 from gradcheck import grad_check
@@ -65,11 +66,14 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.values, [[0, 0, 2]])
 
     def test_leaky_relu(self):
-        out = ad.leaky_relu(t([[-1.0, 2.0]]), slope=0.2)
-        np.testing.assert_allclose(out.values, [[-0.2, 2.0]])
+        # row 0 of the edge 0-1 scores -1 and 2, LeakyReLU'd to -0.2 and 2
+        out = ad.gat_attention(t([[0.0], [0.0]]), t([[-1.0], [2.0]]), nbrs_of([(0, 1, 0.5)], 2),
+                               slope=0.2)
+        e = np.exp([-0.2, 2.0])
+        np.testing.assert_allclose(out.values[:2, 0], e / e.sum())
 
     def test_elu_negative_branch(self):
-        out = ad.elu(t([[-1.0]]))
+        out = ad.aggregate(t([[1.0]]), t([[-1.0]]), nbrs_of([], 1), "elu")
         np.testing.assert_allclose(out.values, [[np.exp(-1.0) - 1.0]])
 
     def test_sigmoid_at_zero(self):
@@ -91,7 +95,7 @@ class TestForwardValues:
 
     def test_masked_softmax_zeros_and_sums(self):
         nbrs = nbrs_of()
-        s = ad.edge_softmax(t(np.ones((len(nbrs.rows), 1))), nbrs).values[:, 0]
+        s = ad.gat_attention(t(np.ones((5, 1))), t(np.ones((5, 1))), nbrs, 0.2).values[:, 0]
         S = dense(nbrs, s)
         assert (S[dense(nbrs, 1.0) == 0] == 0.0).all()
         np.testing.assert_allclose(S.sum(axis=1), np.ones(5), atol=1e-14)
@@ -101,13 +105,17 @@ class TestForwardValues:
         # row 1 holds no entry, not even its self-loop
         nbrs = Neighbors(indptr=np.array([0, 1, 1]), rows=np.array([0]),
                          cols=np.array([0]), perm=np.array([0]))
+        x = t([[1.0], [2.0]])
         with pytest.raises(ad.DomainError):
-            ad.edge_softmax(t([[1.0]]), nbrs)
+            ad.gat_attention(x, x, nbrs, 0.2)
+        with pytest.raises(ad.DomainError):
+            ad.dot_attention(x, x, nbrs, 1, 1.0)
 
     def test_sum_mean(self):
         x = t([[1.0, 2.0], [3.0, 4.0]])
         assert ad.tsum(x).item() == 10.0
-        np.testing.assert_array_equal(ad.head_mean(x, 2).values, [[1.5], [3.5]])
+        mean = ad.aggregate(t(np.ones((2, 2))), x, nbrs_of([], 2), "relu")
+        np.testing.assert_array_equal(mean.values, [[1.5], [3.5]])
 
 
 # a path 0-1-2, node 3 linked to 0, node 4 isolated
@@ -131,6 +139,13 @@ def blocks(x, heads):
     return np.split(x, heads, axis=1)
 
 
+def dense_softmax(nbrs, S):
+    """Row softmax of the m x m scores ``S`` over the entries of ``nbrs``."""
+    S = np.where(dense(nbrs, 1.0) > 0, S, -np.inf)
+    S = np.exp(S - S.max(axis=1, keepdims=True))
+    return S / S.sum(axis=1, keepdims=True)
+
+
 class TestEdgeOps:
     def test_head_dot(self):
         rng = np.random.default_rng(0)
@@ -142,60 +157,166 @@ class TestEdgeOps:
             ad.head_dot(t(X), t(np.zeros((3, 3))))
 
     def test_edge_sum(self):
+        # GAT scores: head k of entry (i, j) is LeakyReLU(u[i, k] + v[j, k])
         nbrs = nbrs_of()
-        u, v = np.arange(10.0).reshape(5, 2), 100.0 * np.arange(10.0).reshape(5, 2)
-        out = ad.edge_sum(t(u), t(v), nbrs).values
+        rng = np.random.default_rng(0)
+        u, v = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+        out = ad.gat_attention(t(u), t(v), nbrs, 0.2).values
         for k in range(2):
-            np.testing.assert_array_equal(dense(nbrs, out[:, k]),
-                                          dense(nbrs, 1.0) * (u[:, [k]] + v[:, k]))
+            E = u[:, [k]] + v[:, k]
+            np.testing.assert_allclose(dense(nbrs, out[:, k]),
+                                       dense_softmax(nbrs, np.where(E > 0, E, 0.2 * E)),
+                                       atol=1e-15)
         with pytest.raises(ad.ShapeError):
-            ad.edge_sum(t(u[:4]), t(v[:4]), nbrs)
+            ad.gat_attention(t(u[:4]), t(v[:4]), nbrs, 0.2)
+        with pytest.raises(ad.ShapeError):
+            ad.gat_attention(t(u), t(v[:, :1]), nbrs, 0.2)
 
     def test_edge_softmax_per_row_and_head(self):
         nbrs = nbrs_of()
-        E = np.random.default_rng(1).normal(size=(len(nbrs.rows), 3))
-        s = ad.edge_softmax(t(E), nbrs).values
-        for k in range(3):
-            S = np.where(dense(nbrs, 1.0) > 0, dense(nbrs, E[:, k]), -np.inf)
-            S = np.exp(S - S.max(axis=1, keepdims=True))
-            np.testing.assert_allclose(dense(nbrs, s[:, k]),
-                                       S / S.sum(axis=1, keepdims=True), atol=1e-15)
-        np.testing.assert_allclose(ad.row_sum(s, nbrs), 1.0, atol=1e-15)
-        np.testing.assert_allclose(ad.edge_softmax(t(E + 500.0), nbrs).values, s,
-                                   atol=1e-15)
-        assert s[nbrs.rows == 4].tolist() == [[1.0, 1.0, 1.0]]   # isolated: self only
-        with pytest.raises(ad.ShapeError):
-            ad.edge_softmax(t(E[1:]), nbrs)
+        rng = np.random.default_rng(1)
+        u, v = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        P, Q = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
+        s = ad.gat_attention(t(u), t(v), nbrs, 0.2).values
+        for out in (s, ad.dot_attention(t(P), t(Q), nbrs, 3, 0.5).values,
+                    ad.dot_attention(t(P), t(Q), nbrs, 3, 300.0).values):
+            assert out.shape == (len(nbrs.rows), 3)
+            np.testing.assert_allclose(ad.row_sum(out, nbrs), 1.0, atol=1e-15)
+            assert out[nbrs.rows == 4].tolist() == [[1.0, 1.0, 1.0]]   # isolated: self only
+        # with slope 1 the scores are u[i] + v[j]: neither a per-row nor a global
+        # offset moves the softmax
+        plain = ad.gat_attention(t(u), t(v), nbrs, 1.0).values
+        for u2, v2 in ((u - u, v), (u, v + 500.0)):
+            np.testing.assert_allclose(ad.gat_attention(t(u2), t(v2), nbrs, 1.0).values, plain,
+                                       atol=1e-15)
 
     def test_spmm(self):
         nbrs = nbrs_of()
         rng = np.random.default_rng(2)
         A, X = rng.normal(size=(len(nbrs.rows), 2)), rng.normal(size=(5, 6))
-        out = ad.spmm(t(A), t(X), nbrs).values
-        expect = np.hstack([dense(nbrs, A[:, k]) @ Xk
-                            for k, Xk in enumerate(blocks(X, 2))])
-        np.testing.assert_allclose(out, expect, atol=1e-15)
+        for act, f in (("relu", lambda x: np.maximum(x, 0.0)),
+                       ("elu", lambda x: np.where(x > 0, x, np.expm1(np.minimum(x, 0.0))))):
+            out = ad.aggregate(t(A), t(X), nbrs, act).values
+            expect = np.mean([f(dense(nbrs, A[:, k]) @ Xk)
+                              for k, Xk in enumerate(blocks(X, 2))], axis=0)
+            np.testing.assert_allclose(out, expect, atol=1e-15)
         with pytest.raises(ad.ShapeError):
-            ad.spmm(t(A), t(X[:4]), nbrs)
+            ad.aggregate(t(A), t(X[:4]), nbrs, "relu")
+        with pytest.raises(ad.ShapeError):
+            ad.aggregate(t(A[1:]), t(X), nbrs, "relu")
+        with pytest.raises(ValueError, match="act must be"):
+            ad.aggregate(t(A), t(X), nbrs, "tanh")
 
     def test_sddmm(self):
+        # transformer scores: head k of entry (i, j) is scale * P[i, block k] . Q[j, block k]
         nbrs = nbrs_of()
         rng = np.random.default_rng(3)
         P, Q = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
-        out = ad.sddmm(t(P), t(Q), nbrs, 3).values
+        out = ad.dot_attention(t(P), t(Q), nbrs, 3, 0.5).values
         assert out.shape == (len(nbrs.rows), 3)
         for k, (Pk, Qk) in enumerate(zip(blocks(P, 3), blocks(Q, 3))):
             np.testing.assert_allclose(dense(nbrs, out[:, k]),
-                                       dense(nbrs, 1.0) * (Pk @ Qk.T), atol=1e-15)
+                                       dense_softmax(nbrs, 0.5 * (Pk @ Qk.T)), atol=1e-15)
         with pytest.raises(ad.ShapeError):
-            ad.sddmm(t(P[:4]), t(Q[:4]), nbrs, 3)
+            ad.dot_attention(t(P[:4]), t(Q[:4]), nbrs, 3, 0.5)
+        with pytest.raises(ad.ShapeError):
+            ad.dot_attention(t(P), t(Q), nbrs, 4, 0.5)
 
     def test_head_mean(self):
+        # on self-loops alone with unit weights, aggregate is the mean of X's head blocks
         X = np.arange(12.0).reshape(2, 6)
-        out = ad.head_mean(t(X), 3).values
+        out = ad.aggregate(t(np.ones((2, 3))), t(X), nbrs_of([], 2), "relu").values
         np.testing.assert_allclose(out, (X[:, 0:2] + X[:, 2:4] + X[:, 4:6]) / 3)
         with pytest.raises(ad.ShapeError):
-            ad.head_mean(t(X), 4)
+            ad.aggregate(t(np.ones((2, 4))), t(X), nbrs_of([], 2), "relu")
+
+
+# The attention primitives that the fused ops replace, written as they were:
+# the reference for the fused ops' outputs and gradients, bit for bit.
+
+def chain_edge_sum(u, v, nbrs):
+    return ad._make("edge_sum", u.values[nbrs.rows] + v.values[nbrs.cols],
+                    [(u, lambda g: ad.row_sum(g, nbrs)),
+                     (v, lambda g: ad.row_sum(g[nbrs.perm], nbrs))])
+
+
+def chain_leaky_relu(a, slope):
+    mask = a.values > 0
+    return ad._make("leaky_relu", np.where(mask, a.values, slope * a.values),
+                    [(a, lambda g: g * np.where(mask, 1.0, slope))])
+
+
+def chain_elu(a, alpha=1.0):
+    mask = a.values > 0
+    ex = np.exp(np.minimum(a.values, 0.0))
+    out = np.where(mask, a.values, alpha * (ex - 1.0))
+    return ad._make("elu", out, [(a, lambda g: g * np.where(mask, 1.0, alpha * ex))])
+
+
+def chain_edge_softmax(E, nbrs):
+    e = np.exp(E.values - np.maximum.reduceat(E.values, nbrs.indptr[:-1])[nbrs.rows])
+    s = e / ad.row_sum(e, nbrs)[nbrs.rows]
+    return ad._make("edge_softmax", s,
+                    [(E, lambda g: s * (g - ad.row_sum(g * s, nbrs)[nbrs.rows]))])
+
+
+def chain_spmm(A, X, nbrs):
+    heads = A.shape[1]
+    return ad._make("spmm", ad._spmm(A.values, X.values, nbrs),
+                    [(A, lambda g: ad._sddmm(g, X.values, nbrs, heads)),
+                     (X, lambda g: ad._spmm(A.values[nbrs.perm], g, nbrs))])
+
+
+def chain_sddmm(P, Q, nbrs, heads):
+    return ad._make("sddmm", ad._sddmm(P.values, Q.values, nbrs, heads),
+                    [(P, lambda g: ad._spmm(g, Q.values, nbrs)),
+                     (Q, lambda g: ad._spmm(g[nbrs.perm], P.values, nbrs))])
+
+
+def chain_head_mean(X, heads):
+    return ad._make("head_mean", X.values.reshape(len(X.values), heads, -1).mean(axis=1),
+                    [(X, lambda g: np.tile(g / heads, heads))])
+
+
+def chain_gat_layer(H, nbrs, W, a_src, a_dst):
+    XW = ad.matmul(H, W)
+    E = chain_edge_sum(ad.head_dot(XW, a_src), ad.head_dot(XW, a_dst), nbrs)
+    A = chain_edge_softmax(chain_leaky_relu(E, gae.LEAKY_SLOPE), nbrs)
+    return chain_head_mean(ad.relu(chain_spmm(A, XW, nbrs)), A.shape[1]), A
+
+
+def chain_transformer_conv_layer(H, nbrs, Wq, Wk, Wv):
+    d_h = Wq.shape[0]
+    heads = Wq.shape[1] // d_h
+    Q, K, V = (ad.matmul(H, P) for P in (Wq, Wk, Wv))
+    scores = ad.scalar_mul(chain_sddmm(Q, K, nbrs, heads), 1.0 / np.sqrt(d_h))
+    A = chain_edge_softmax(scores, nbrs)
+    return chain_head_mean(chain_elu(chain_spmm(A, V, nbrs)), heads), A
+
+
+class TestFusion:
+    def test_layers_match_the_primitive_chain_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        m = 14
+        edges = [(i, j, 0.5) for i in range(m) for j in range(i + 1, m - 2)
+                 if rng.random() < 0.3]                     # the last two nodes isolated
+        nbrs = nbrs_of(edges, m)
+        values = [rng.normal(size=s) for s in
+                  ((m, 4), (4, 15), (5, 3), (5, 3), (5, 10), (5, 10), (5, 10))]
+        G = rng.normal(size=(m, 5))
+        runs = []
+        for gat, transformer in ((gae.gat_layer, gae.transformer_conv_layer),
+                                 (chain_gat_layer, chain_transformer_conv_layer)):
+            H, W, a_src, a_dst, Wq, Wk, Wv = tensors = [t(x, rg=True) for x in values]
+            H1, A1 = gat(H, nbrs, W, a_src, a_dst)
+            H2, A2 = transformer(H1, nbrs, Wq, Wk, Wv)
+            outputs = [x.values for x in (H1, A1, H2, A2)]
+            ad.backward(ad.tsum(ad.mul(H2, t(G))))
+            runs.append((outputs, [x.grad for x in tensors]))
+        (fused_out, fused_grads), (chain_out, chain_grads) = runs
+        assert (fused_out[2] < 0).any() and (fused_out[2] > 0).any()   # both ELU branches
+        for a, b in zip(fused_out + fused_grads, chain_out + chain_grads):
+            assert np.array_equal(a, b)
 
 
 class TestBackward:
@@ -282,7 +403,7 @@ class TestGradCheck:
         x = t(rng.normal(size=(3, 4)), rg=True)
 
         def f(v):
-            h = ad.elu(ad.matmul(v, W1))
+            h = ad.relu(ad.matmul(v, W1))
             return ad.tsum(ad.square(ad.sigmoid(ad.matmul(h, W2))))
 
         assert grad_check(f, x) < 1e-6
@@ -301,31 +422,33 @@ class TestGradCheck:
         edges = [(i, j, 1.0) for i in range(m) for j in range(i + 1, m)
                  if rng.random() > 0.5]
         nbrs = nbrs_of(edges, m)
-        x = t(rng.normal(size=(len(nbrs.rows), 2)), rg=True)
+        x = t(rng.normal(size=(m, 4)), rg=True)
+        K = t(rng.normal(size=(m, 4)))
 
         def f(v):
-            return ad.tsum(ad.square(ad.edge_softmax(v, nbrs)))
+            return ad.tsum(ad.square(ad.dot_attention(v, K, nbrs, 2, 0.5)))
 
         assert grad_check(f, x) < 1e-6
 
-    @pytest.mark.parametrize("op", ["head_dot", "edge_sum", "edge_softmax", "spmm",
-                                    "sddmm", "head_mean"])
+    @pytest.mark.parametrize("op", ["head_dot", "gat_attention", "dot_attention",
+                                    "aggregate-relu", "aggregate-elu"])
     def test_edge_op_gradients(self, op):
         nbrs = nbrs_of()
         rng = np.random.default_rng(5)
         nnz = len(nbrs.rows)
-        shapes = {"head_dot": [(5, 6), (2, 3)], "edge_sum": [(5, 3), (5, 3)],
-                  "edge_softmax": [(nnz, 3)], "spmm": [(nnz, 3), (5, 6)],
-                  "sddmm": [(5, 6), (5, 6)], "head_mean": [(5, 6)]}[op]
-        args = {"head_dot": [], "edge_sum": [nbrs], "edge_softmax": [nbrs],
-                "spmm": [nbrs], "sddmm": [nbrs, 3], "head_mean": [3]}[op]
+        fn, shapes, args = {
+            "head_dot": (ad.head_dot, [(5, 6), (2, 3)], []),
+            "gat_attention": (ad.gat_attention, [(5, 3), (5, 3)], [nbrs, 0.2]),
+            "dot_attention": (ad.dot_attention, [(5, 6), (5, 6)], [nbrs, 3, 0.5]),
+            "aggregate-relu": (ad.aggregate, [(nnz, 3), (5, 6)], [nbrs, "relu"]),
+            "aggregate-elu": (ad.aggregate, [(nnz, 3), (5, 6)], [nbrs, "elu"])}[op]
         inputs = [t(rng.normal(size=s)) for s in shapes]
-        R = t(rng.normal(size=getattr(ad, op)(*inputs, *args).shape))
+        R = t(rng.normal(size=fn(*inputs, *args).shape))
         for x in inputs:
             x.requires_grad = True
 
             def f(v):
-                return ad.tsum(ad.mul(getattr(ad, op)(*inputs, *args), R))
+                return ad.tsum(ad.mul(fn(*inputs, *args), R))
 
             assert grad_check(f, x) < 1e-8
             x.requires_grad = False
