@@ -430,7 +430,8 @@ class TestGradCheck:
 
         assert grad_check(f, x) < 1e-6
 
-    @pytest.mark.parametrize("op", ["head_dot", "gat_attention", "dot_attention",
+    @pytest.mark.parametrize("op", ["head_dot", "edge_softmax", "sddmm",
+                                    "gat_attention", "dot_attention",
                                     "aggregate-relu", "aggregate-elu"])
     def test_edge_op_gradients(self, op):
         nbrs = nbrs_of()
@@ -438,6 +439,10 @@ class TestGradCheck:
         nnz = len(nbrs.rows)
         fn, shapes, args = {
             "head_dot": (ad.head_dot, [(5, 6), (2, 3)], []),
+            # slope 1 makes the LeakyReLU the identity: the edge softmax alone
+            "edge_softmax": (ad.gat_attention, [(5, 3), (5, 3)], [nbrs, 1.0]),
+            # one head at unit scale: the bare per-edge dot product
+            "sddmm": (ad.dot_attention, [(5, 2), (5, 2)], [nbrs, 1, 1.0]),
             "gat_attention": (ad.gat_attention, [(5, 3), (5, 3)], [nbrs, 0.2]),
             "dot_attention": (ad.dot_attention, [(5, 6), (5, 6)], [nbrs, 3, 0.5]),
             "aggregate-relu": (ad.aggregate, [(nnz, 3), (5, 6)], [nbrs, "relu"]),
