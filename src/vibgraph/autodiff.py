@@ -180,10 +180,13 @@ def tsum(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# edge ops over a CSR neighbourhood view ``nbrs`` (``graph.Neighbors``): edge
-# tensors hold one row per entry and one column per head, node tensors hold
+# GAE layers over a CSR neighbourhood view ``nbrs`` (``graph.Neighbors``):
+# attention holds one row per entry and one column per head, node arrays hold
 # head k in column block k; the pattern is symmetric, so an edge array
-# transposed is that array [perm] on the same pattern
+# transposed is that array [perm] on the same pattern. A layer is one op: it
+# saves its input, parameters, attention and sign masks, and its backward
+# recomputes the input's projections, then runs the vjps of the chain of
+# steps it replaces in that chain's order, so gradients match it bit for bit.
 
 
 def row_sum(x: np.ndarray, nbrs) -> np.ndarray:
@@ -203,29 +206,6 @@ def _sddmm(P: np.ndarray, Q: np.ndarray, nbrs, heads: int) -> np.ndarray:
                      in zip(np.split(P, heads, axis=1), np.split(Q, heads, axis=1))], axis=1)
 
 
-def head_dot(X: Tensor, a: Tensor) -> Tensor:
-    """Per-head dot product: out[i, k] = X[i, block k] . a[:, k]."""
-    h, heads = a.shape
-    _check("head_dot", X.shape[1] == h * heads, X, a)
-    X3 = X.values.reshape(-1, heads, h)
-    return _make("head_dot", np.einsum("ikh,hk->ik", X3, a.values),
-                 [(X, lambda g: (g[:, :, None] * a.values.T).reshape(X.shape)),
-                  (a, lambda g: np.einsum("ikh,ik->hk", X3, g))])
-
-
-def _once(f):
-    """``f`` computed at the first call only: backward hands every parent's
-    vjp of one op the same upstream gradient, so a part they share is
-    computed once and dies with the op's closures."""
-    memo = []
-
-    def shared(g):
-        if not memo:
-            memo.append(f(g))
-        return memo[0]
-    return shared
-
-
 def _edge_softmax(E: np.ndarray, nbrs) -> np.ndarray:
     """Softmax of each column of ``E`` over each row's entries."""
     if (np.diff(nbrs.indptr) == 0).any():
@@ -238,54 +218,92 @@ def _edge_softmax_vjp(s: np.ndarray, g: np.ndarray, nbrs) -> np.ndarray:
     return s * (g - row_sum(g * s, nbrs)[nbrs.rows])
 
 
-def gat_attention(u: Tensor, v: Tensor, nbrs, slope: float) -> Tensor:
-    """Edge softmax of LeakyReLU(u[rows[e]] + v[cols[e]]); saves the softmax
-    and the sign mask of the scores."""
-    _check("gat_attention", u.shape == v.shape and len(u.values) == len(nbrs.indptr) - 1,
-           u, v)
-    E = u.values[nbrs.rows] + v.values[nbrs.cols]
-    mask = E > 0
-    s = _edge_softmax(np.where(mask, E, slope * E), nbrs)
-    gE = _once(lambda g: _edge_softmax_vjp(s, g, nbrs) * np.where(mask, 1.0, slope))
-    return _make("gat_attention", s,
-                 [(u, lambda g: row_sum(gE(g), nbrs)),
-                  (v, lambda g: row_sum(gE(g)[nbrs.perm], nbrs))])
-
-
-def dot_attention(Q: Tensor, K: Tensor, nbrs, heads: int, scale: float) -> Tensor:
-    """Edge softmax of scale * Q[rows[e], block k] . K[cols[e], block k], the
-    scores read off Q_k K_k^T; saves the softmax."""
-    _check("dot_attention", Q.shape == K.shape and len(Q.values) == len(nbrs.indptr) - 1
-           and Q.shape[1] % heads == 0, Q, K)
-    scale = float(scale)
-    s = _edge_softmax(_sddmm(Q.values, K.values, nbrs, heads) * scale, nbrs)
-    gS = _once(lambda g: _edge_softmax_vjp(s, g, nbrs) * scale)
-    return _make("dot_attention", s,
-                 [(Q, lambda g: _spmm(gS(g), K.values, nbrs)),
-                  (K, lambda g: _spmm(gS(g)[nbrs.perm], Q.values, nbrs))])
-
-
-def aggregate(A: Tensor, X: Tensor, nbrs, act: str) -> Tensor:
-    """Mean over heads k of act(sum of A[e, k] * X[cols[e], block k] over row
-    i's entries e), ``act`` "relu" or "elu"; saves the sign mask (and the
-    exponential for ELU), not the per-head sums or activations."""
-    heads = A.shape[1]
-    _check("aggregate", len(A.values) == len(nbrs.rows)
-           and len(X.values) == len(nbrs.indptr) - 1 and X.shape[1] % heads == 0, A, X)
-    P = _spmm(A.values, X.values, nbrs)
+def _head_mean(P: np.ndarray, heads: int, act: str):
+    """The mean over heads of act(P), ``act`` "relu" or "elu", and the factor
+    act's vjp scales a gradient by: the sign mask, or 1 and exp(P) for ELU."""
     mask = P > 0
     if act == "relu":
-        P = np.where(mask, P, 0.0)
-    elif act == "elu":
-        ex = np.exp(np.minimum(P, 0.0))
-        P = np.where(mask, P, ex - 1.0)
+        P, dact = np.where(mask, P, 0.0), mask
     else:
-        raise ValueError(f"aggregate: act must be 'relu' or 'elu', got {act!r}")
-    gP = _once(lambda g: np.tile(g / heads, heads)
-               * (mask if act == "relu" else np.where(mask, 1.0, ex)))
-    return _make("aggregate", P.reshape(len(P), heads, -1).mean(axis=1),
-                 [(A, lambda g: _sddmm(gP(g), X.values, nbrs, heads)),
-                  (X, lambda g: _spmm(A.values[nbrs.perm], gP(g), nbrs))])
+        ex = np.exp(np.minimum(P, 0.0))
+        P, dact = np.where(mask, P, ex - 1.0), np.where(mask, 1.0, ex)
+    return P.reshape(len(P), heads, -1).mean(axis=1), dact
+
+
+def _make_layer(kind, values, parents, vjp):
+    """An op whose ``vjp(g)`` returns every parent's gradient, in ``parents``
+    order: backward hands each parent's vjp the same ``g``, so the first call
+    computes them all and each call takes its own."""
+    grads = []
+
+    def take(k, g):
+        if not grads:
+            grads.extend(vjp(g))
+        return grads[k]
+    return _make(kind, values, [(p, lambda g, k=k: take(k, g)) for k, p in enumerate(parents)])
+
+
+def gat_layer(H: Tensor, nbrs, W: Tensor, a_src: Tensor, a_dst: Tensor, slope: float):
+    """One multi-head graph-attention layer. Head k projects P = H W_k (column
+    block k of W), scores entry (i, j) LeakyReLU(P[i] . a_src[:, k] + P[j] .
+    a_dst[:, k]), and outputs the ReLU of the edge-softmax-weighted sum of P
+    over row i's entries; the heads are averaged. Returns (output, attention
+    as a Tensor with no parents)."""
+    h, heads = a_src.shape
+    _check("gat_layer", H.shape[1] == W.shape[0] and W.shape[1] == h * heads
+           and a_dst.shape == a_src.shape and len(H.values) == len(nbrs.indptr) - 1,
+           H, W, a_src, a_dst)
+    Hv, Wv, av, bv = H.values, W.values, a_src.values, a_dst.values
+    slope = float(slope)
+    XW = Hv @ Wv
+    X3 = XW.reshape(-1, heads, h)
+    E = (np.einsum("ikh,hk->ik", X3, av)[nbrs.rows]
+         + np.einsum("ikh,hk->ik", X3, bv)[nbrs.cols])
+    mask = E > 0
+    A = _edge_softmax(np.where(mask, E, slope * E), nbrs)
+    out, dact = _head_mean(_spmm(A, XW, nbrs), heads, "relu")
+
+    def vjp(g):
+        XW = Hv @ Wv
+        X3 = XW.reshape(-1, heads, h)
+        gP = np.tile(g / heads, heads) * dact
+        gE = _edge_softmax_vjp(A, _sddmm(gP, XW, nbrs, heads), nbrs) * np.where(mask, 1.0, slope)
+        gu, gv = row_sum(gE, nbrs), row_sum(gE[nbrs.perm], nbrs)
+        ga_src, ga_dst = np.einsum("ikh,ik->hk", X3, gu), np.einsum("ikh,ik->hk", X3, gv)
+        del XW, X3
+        gXW = _spmm(A[nbrs.perm], gP, nbrs)
+        del gP
+        gXW += (gu[:, :, None] * av.T).reshape(gXW.shape)     # the aggregation's share,
+        gXW += (gv[:, :, None] * bv.T).reshape(gXW.shape)     # then a_src's, then a_dst's
+        return gXW @ Wv.T, Hv.T @ gXW, ga_src, ga_dst
+    return _make_layer("gat_layer", out, (H, W, a_src, a_dst), vjp), Tensor(A)
+
+
+def transformer_layer(H: Tensor, nbrs, Wq: Tensor, Wk: Tensor, Wv: Tensor, heads: int,
+                      scale: float):
+    """One multi-head graph-transformer layer. Head k projects Q, K, V = H Wq_k,
+    H Wk_k, H Wv_k (column block k of each), scores entry (i, j) scale * Q[i]
+    . K[j], and outputs the ELU of the edge-softmax-weighted sum of V over row
+    i's entries; the heads are averaged. Returns (output, attention as a
+    Tensor with no parents)."""
+    _check("transformer_layer", Wq.shape == Wk.shape == Wv.shape and H.shape[1] == Wq.shape[0]
+           and Wq.shape[1] % heads == 0 and len(H.values) == len(nbrs.indptr) - 1,
+           H, Wq, Wk, Wv)
+    Hv, Wqv, Wkv, Wvv = H.values, Wq.values, Wk.values, Wv.values
+    scale = float(scale)
+    A = _edge_softmax(_sddmm(Hv @ Wqv, Hv @ Wkv, nbrs, heads) * scale, nbrs)
+    out, dact = _head_mean(_spmm(A, Hv @ Wvv, nbrs), heads, "elu")
+
+    def vjp(g):
+        gP = np.tile(g / heads, heads) * dact
+        gS = _edge_softmax_vjp(A, _sddmm(gP, Hv @ Wvv, nbrs, heads), nbrs) * scale
+        gV = _spmm(A[nbrs.perm], gP, nbrs)
+        del gP
+        gQ = _spmm(gS, Hv @ Wkv, nbrs)
+        gK = _spmm(gS[nbrs.perm], Hv @ Wqv, nbrs)
+        return (gQ @ Wqv.T + gK @ Wkv.T + gV @ Wvv.T,     # (via Q + via K) + via V
+                Hv.T @ gQ, Hv.T @ gK, Hv.T @ gV)
+    return _make_layer("transformer_layer", out, (H, Wq, Wk, Wv), vjp), Tensor(A)
 
 
 # ---------------------------------------------------------------------------

@@ -11,18 +11,27 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-_encode = json.JSONEncoder(sort_keys=True).encode      # no indent: the C encoder
+
+def _tolist(obj):
+    """What json.dumps's ``default`` gets: an array is written as its list."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+_encode = json.JSONEncoder(sort_keys=True, default=_tolist).encode   # no indent: the C encoder
 
 
 def atomic_write_text(path, text):
     """Write-temp-then-rename so readers never see a partial file. The file
-    gets the mode ``open(path, "w")`` gives, 0666 less the umask."""
+    gets the mode ``open(path, "w")`` gives, 0666 less the umask. ``text`` is
+    a string or an iterable of strings, written one after another."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f"tmp{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -31,31 +40,47 @@ def atomic_write_text(path, text):
 
 
 def write_json(path, doc):
-    """Write ``json_text(doc)`` to ``path`` atomically."""
-    atomic_write_text(path, json_text(doc))
+    """Write ``json_text(doc)`` to ``path`` atomically, one piece at a time:
+    each value of a dict is laid out and written before the next, so the
+    whole text, or all of a dict's arrays as lists, is never held at once."""
+    atomic_write_text(path, _pieces(doc, "\n"))
 
 
 def json_text(doc) -> str:
-    """``json.dumps(doc, indent=1, sort_keys=True)``, byte for byte.
+    """``json.dumps(doc, indent=1, sort_keys=True)``, byte for byte, where a
+    numpy array may stand for a list and reads as its ``tolist()``.
 
     Any indent sends ``json.dumps`` to its pure-Python encoder. Here each list
     is encoded once by the C encoder; one of scalars, or of rows of scalars,
     is re-laid into the indented layout by ``str.replace``, and anything else
     is laid out item by item."""
-    return _indented(doc, "\n")
+    return "".join(_pieces(doc, "\n"))
+
+
+def _pieces(obj, nl):
+    """``obj`` laid out as by ``json_text`` at the depth whose line breaks are
+    ``nl``, a newline and one space per level, in pieces: a dict with string
+    keys yields each key, then its value's pieces."""
+    if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        inner = nl + " "
+        for k, key in enumerate(sorted(obj)):
+            yield ("," if k else "{") + inner + encode_basestring_ascii(key) + ": "
+            yield from _pieces(obj[key], inner)
+        yield nl + "}"
+    else:
+        yield _indented(obj, nl)
 
 
 def _indented(obj, nl):
-    """``obj`` laid out as by ``json_text`` at the depth whose line breaks are
-    ``nl``, a newline and one space per level."""
+    """``obj`` laid out as ``_pieces`` lays it out, in one string."""
     inner = nl + " "
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict) and obj:
-        if not all(isinstance(key, str) for key in obj):
-            # json.dumps converts or refuses other keys, after sorting them
-            return json.dumps(obj, indent=1, sort_keys=True).replace("\n", nl)
-        return ("{" + inner + ("," + inner).join(
-            f"{encode_basestring_ascii(key)}: {_indented(obj[key], inner)}"
-            for key in sorted(obj)) + nl + "}")
+        if all(isinstance(key, str) for key in obj):
+            return "".join(_pieces(obj, nl))
+        # json.dumps converts or refuses other keys, after sorting them
+        return json.dumps(obj, indent=1, sort_keys=True, default=_tolist).replace("\n", nl)
     text = _encode(obj)
     if not isinstance(obj, (list, tuple)) or not obj:
         return text

@@ -107,11 +107,12 @@ def cmd_compare(args):
 
 
 def cmd_dtw_heatmap(args):
+    cfg = pipeline.load_config(args.config)
     graph = load_graph(args.graph)
     seg_values = graph.meta.get("segments")
     if seg_values is None:
         raise ValueError(f"{args.graph}: meta carries no segment values")
-    D = pairwise_distances(seg_values)
+    D = pairwise_distances(seg_values, cfg["pair_budget"])
     lines = [",".join(repr(float(x)) for x in row) for row in D]
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"{D.shape[0]}x{D.shape[1]} distance matrix -> {args.out}")
@@ -164,6 +165,7 @@ def build_parser():
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("dtw-heatmap", help="pairwise DTW distance matrix CSV")
+    p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_dtw_heatmap)

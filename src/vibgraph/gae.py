@@ -126,9 +126,7 @@ def gat_layer(H: Tensor, nbrs: Neighbors, W: Tensor, a_src: Tensor, a_dst: Tenso
     sum of projected neighbors. Returns (mean-over-heads output, attention
     with one row per entry and one column per head).
     """
-    XW = ad.matmul(H, W)
-    A = ad.gat_attention(ad.head_dot(XW, a_src), ad.head_dot(XW, a_dst), nbrs, LEAKY_SLOPE)
-    return ad.aggregate(A, XW, nbrs, "relu"), A
+    return ad.gat_layer(H, nbrs, W, a_src, a_dst, LEAKY_SLOPE)
 
 
 def transformer_conv_layer(H: Tensor, nbrs: Neighbors, Wq: Tensor, Wk: Tensor,
@@ -136,10 +134,7 @@ def transformer_conv_layer(H: Tensor, nbrs: Neighbors, Wq: Tensor, Wk: Tensor,
     """Neighbor-restricted scaled dot-product attention with ELU output; each
     head projects to the input width, head k from column block k."""
     d_h = Wq.shape[0]
-    heads = Wq.shape[1] // d_h
-    Q, K, V = (ad.matmul(H, P) for P in (Wq, Wk, Wv))
-    A = ad.dot_attention(Q, K, nbrs, heads, 1.0 / np.sqrt(d_h))
-    return ad.aggregate(A, V, nbrs, "elu"), A
+    return ad.transformer_layer(H, nbrs, Wq, Wk, Wv, Wq.shape[1] // d_h, 1.0 / np.sqrt(d_h))
 
 
 def encode(graph: FaultGraph, params: dict, config: GaeConfig):
@@ -312,10 +307,10 @@ def embed(graph: FaultGraph, model: TrainedGAE) -> np.ndarray:
 def save_model(model: TrainedGAE, path: str) -> None:
     doc = {
         "config": asdict(model.config),
-        "params": {name: {"shape": list(t.shape), "values": t.values.ravel().tolist()}
+        "params": {name: {"shape": list(t.shape), "values": t.values.ravel()}
                    for name, t in model.params.items()},
         "curves": model.curves,
-        "split": {k: np.asarray(v).tolist() for k, v in model.split.items()},
+        "split": model.split,
         "diagnostics": model.diagnostics,
     }
     write_json(path, doc)

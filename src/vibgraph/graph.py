@@ -190,8 +190,8 @@ def build_graph(features, labels, theta: float, D, meta: dict | None = None) -> 
 
 
 def save_graph(graph: FaultGraph, path: str) -> None:
-    write_json(path, {"meta": graph.meta, "features": graph.node_features.tolist(),
-                      "labels": graph.node_labels.tolist(), "edges": graph.edges})
+    write_json(path, {"meta": graph.meta, "features": graph.node_features,
+                      "labels": graph.node_labels, "edges": graph.edges})
 
 
 def load_graph(path: str) -> FaultGraph:

@@ -66,14 +66,17 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.values, [[0, 0, 2]])
 
     def test_leaky_relu(self):
-        # row 0 of the edge 0-1 scores -1 and 2, LeakyReLU'd to -0.2 and 2
-        out = ad.gat_attention(t([[0.0], [0.0]]), t([[-1.0], [2.0]]), nbrs_of([(0, 1, 0.5)], 2),
-                               slope=0.2)
+        # with W = 1 and a_src = 0, row 0 of the edge 0-1 scores H = -1 and 2,
+        # LeakyReLU'd to -0.2 and 2
+        _, A = ad.gat_layer(t([[-1.0], [2.0]]), nbrs_of([(0, 1, 0.5)], 2), t([[1.0]]),
+                            t([[0.0]]), t([[1.0]]), slope=0.2)
         e = np.exp([-0.2, 2.0])
-        np.testing.assert_allclose(out.values[:2, 0], e / e.sum())
+        np.testing.assert_allclose(A.values[:2, 0], e / e.sum())
 
     def test_elu_negative_branch(self):
-        out = ad.aggregate(t([[1.0]]), t([[-1.0]]), nbrs_of([], 1), "elu")
+        # one node on its self-loop: attention 1, so the output is ELU(H Wv)
+        one = t([[1.0]])
+        out, _ = ad.transformer_layer(t([[-1.0]]), nbrs_of([], 1), one, one, one, 1, 1.0)
         np.testing.assert_allclose(out.values, [[np.exp(-1.0) - 1.0]])
 
     def test_sigmoid_at_zero(self):
@@ -95,8 +98,9 @@ class TestForwardValues:
 
     def test_masked_softmax_zeros_and_sums(self):
         nbrs = nbrs_of()
-        s = ad.gat_attention(t(np.ones((5, 1))), t(np.ones((5, 1))), nbrs, 0.2).values[:, 0]
-        S = dense(nbrs, s)
+        one = t([[1.0]])
+        _, A = ad.gat_layer(t(np.ones((5, 1))), nbrs, one, one, one, 0.2)   # every score 2
+        S = dense(nbrs, A.values[:, 0])
         assert (S[dense(nbrs, 1.0) == 0] == 0.0).all()
         np.testing.assert_allclose(S.sum(axis=1), np.ones(5), atol=1e-14)
         np.testing.assert_allclose(S[0], [1 / 3, 1 / 3, 0, 1 / 3, 0], atol=1e-15)
@@ -105,16 +109,18 @@ class TestForwardValues:
         # row 1 holds no entry, not even its self-loop
         nbrs = Neighbors(indptr=np.array([0, 1, 1]), rows=np.array([0]),
                          cols=np.array([0]), perm=np.array([0]))
-        x = t([[1.0], [2.0]])
+        x, w = t([[1.0], [2.0]]), t([[1.0]])
         with pytest.raises(ad.DomainError):
-            ad.gat_attention(x, x, nbrs, 0.2)
+            ad.gat_layer(x, nbrs, w, w, w, 0.2)
         with pytest.raises(ad.DomainError):
-            ad.dot_attention(x, x, nbrs, 1, 1.0)
+            ad.transformer_layer(x, nbrs, w, w, w, 1, 1.0)
 
     def test_sum_mean(self):
         x = t([[1.0, 2.0], [3.0, 4.0]])
         assert ad.tsum(x).item() == 10.0
-        mean = ad.aggregate(t(np.ones((2, 2))), x, nbrs_of([], 2), "relu")
+        # on self-loops alone, 2 heads with W = I average x's ReLU'd columns
+        zero = t(np.zeros((1, 2)))
+        mean, _ = ad.gat_layer(x, nbrs_of([], 2), t(np.eye(2)), zero, zero, 0.2)
         np.testing.assert_array_equal(mean.values, [[1.5], [3.5]])
 
 
@@ -146,93 +152,142 @@ def dense_softmax(nbrs, S):
     return S / S.sum(axis=1, keepdims=True)
 
 
-class TestEdgeOps:
-    def test_head_dot(self):
-        rng = np.random.default_rng(0)
-        X, a = rng.normal(size=(5, 6)), rng.normal(size=(2, 3))
-        out = ad.head_dot(t(X), t(a)).values
-        expect = np.column_stack([Xk @ a[:, k] for k, Xk in enumerate(blocks(X, 3))])
-        np.testing.assert_allclose(out, expect, atol=1e-15)
-        with pytest.raises(ad.ShapeError):
-            ad.head_dot(t(X), t(np.zeros((3, 3))))
+def dense_gat(H, W, a_src, a_dst, nbrs, slope):
+    """``ad.gat_layer`` on m x m matrices, one head at a time: the output and
+    the per-head attention."""
+    outs, attns = [], []
+    for k, P in enumerate(blocks(H @ W, a_src.shape[1])):
+        E = P @ a_src[:, [k]] + P @ a_dst[:, k]
+        attns.append(dense_softmax(nbrs, np.where(E > 0, E, slope * E)))
+        outs.append(np.maximum(attns[-1] @ P, 0.0))
+    return np.mean(outs, axis=0), attns
 
-    def test_edge_sum(self):
-        # GAT scores: head k of entry (i, j) is LeakyReLU(u[i, k] + v[j, k])
+
+def dense_transformer(H, Wq, Wk, Wv, nbrs, heads, scale):
+    """``ad.transformer_layer`` on m x m matrices, one head at a time: the
+    output and the per-head attention."""
+    outs, attns = [], []
+    for Q, K, V in zip(*(blocks(H @ P, heads) for P in (Wq, Wk, Wv))):
+        attns.append(dense_softmax(nbrs, scale * (Q @ K.T)))
+        P = attns[-1] @ V
+        outs.append(np.where(P > 0, P, np.expm1(np.minimum(P, 0.0))))
+    return np.mean(outs, axis=0), attns
+
+
+def assert_layer_matches(nbrs, result, oracle):
+    """A layer op's (output, attention) against a dense oracle's."""
+    (out, A), (expect, attns) = result, oracle
+    assert not A._parents and A.shape == (len(nbrs.rows), len(attns))
+    for k, Ak in enumerate(attns):
+        np.testing.assert_allclose(dense(nbrs, A.values[:, k]), Ak, atol=1e-15)
+    np.testing.assert_allclose(out.values, expect, atol=1e-14)
+
+
+class TestEdgeOps:
+    """Each step of the two layer ops against the dense oracles, on a graph
+    with an isolated node."""
+
+    def test_head_dot(self):
+        # head k scores column block k of H W against column k of a_src and a_dst
         nbrs = nbrs_of()
         rng = np.random.default_rng(0)
-        u, v = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
-        out = ad.gat_attention(t(u), t(v), nbrs, 0.2).values
-        for k in range(2):
-            E = u[:, [k]] + v[:, k]
-            np.testing.assert_allclose(dense(nbrs, out[:, k]),
-                                       dense_softmax(nbrs, np.where(E > 0, E, 0.2 * E)),
-                                       atol=1e-15)
+        H, W, a_src, a_dst = (rng.normal(size=s) for s in ((5, 4), (4, 6), (2, 3), (2, 3)))
+        assert_layer_matches(nbrs, ad.gat_layer(t(H), nbrs, t(W), t(a_src), t(a_dst), 0.2),
+                             dense_gat(H, W, a_src, a_dst, nbrs, 0.2))
         with pytest.raises(ad.ShapeError):
-            ad.gat_attention(t(u[:4]), t(v[:4]), nbrs, 0.2)
+            ad.gat_layer(t(H), nbrs, t(W), t(np.zeros((3, 3))), t(np.zeros((3, 3))), 0.2)
         with pytest.raises(ad.ShapeError):
-            ad.gat_attention(t(u), t(v[:, :1]), nbrs, 0.2)
+            ad.gat_layer(t(H), nbrs, t(W[:3]), t(a_src), t(a_dst), 0.2)
+
+    def test_edge_sum(self):
+        # GAT scores: head k of entry (i, j) is LeakyReLU(u[i, k] + v[j, k]), u from
+        # a_src and v from a_dst; with a_src = 0 every row scores the same v[j]
+        nbrs = nbrs_of()
+        rng = np.random.default_rng(0)
+        H, W, a_src, a_dst = (rng.normal(size=s) for s in ((5, 3), (3, 4), (2, 2), (2, 2)))
+        assert_layer_matches(nbrs, ad.gat_layer(t(H), nbrs, t(W), t(a_src), t(a_dst), 0.2),
+                             dense_gat(H, W, a_src, a_dst, nbrs, 0.2))
+        _, A = ad.gat_layer(t(H), nbrs, t(W), t(0 * a_src), t(a_dst), 0.2)
+        v = np.column_stack([P @ a_dst[:, k] for k, P in enumerate(blocks(H @ W, 2))])
+        e = np.exp(np.where(v > 0, v, 0.2 * v))[nbrs.cols]
+        np.testing.assert_allclose(A.values, e / ad.row_sum(e, nbrs)[nbrs.rows], atol=1e-15)
+        with pytest.raises(ad.ShapeError):
+            ad.gat_layer(t(H[:4]), nbrs, t(W), t(a_src), t(a_dst), 0.2)
+        with pytest.raises(ad.ShapeError):
+            ad.gat_layer(t(H), nbrs, t(W), t(a_src), t(a_dst[:, :1]), 0.2)
 
     def test_edge_softmax_per_row_and_head(self):
         nbrs = nbrs_of()
         rng = np.random.default_rng(1)
-        u, v = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-        P, Q = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
-        s = ad.gat_attention(t(u), t(v), nbrs, 0.2).values
-        for out in (s, ad.dot_attention(t(P), t(Q), nbrs, 3, 0.5).values,
-                    ad.dot_attention(t(P), t(Q), nbrs, 3, 300.0).values):
-            assert out.shape == (len(nbrs.rows), 3)
-            np.testing.assert_allclose(ad.row_sum(out, nbrs), 1.0, atol=1e-15)
-            assert out[nbrs.rows == 4].tolist() == [[1.0, 1.0, 1.0]]   # isolated: self only
-        # with slope 1 the scores are u[i] + v[j]: neither a per-row nor a global
-        # offset moves the softmax
-        plain = ad.gat_attention(t(u), t(v), nbrs, 1.0).values
-        for u2, v2 in ((u - u, v), (u, v + 500.0)):
-            np.testing.assert_allclose(ad.gat_attention(t(u2), t(v2), nbrs, 1.0).values, plain,
-                                       atol=1e-15)
+        H, W, a_src, a_dst = (rng.normal(size=s) for s in ((5, 2), (2, 3), (1, 3), (1, 3)))
+        Wq, Wk, Wv = (rng.normal(size=(2, 6)) for _ in range(3))
+        for _, A in (ad.gat_layer(t(H), nbrs, t(W), t(a_src), t(a_dst), 0.2),
+                     ad.transformer_layer(t(H), nbrs, t(Wq), t(Wk), t(Wv), 3, 0.5),
+                     ad.transformer_layer(t(H), nbrs, t(Wq), t(Wk), t(Wv), 3, 300.0)):
+            assert A.shape == (len(nbrs.rows), 3)
+            np.testing.assert_allclose(ad.row_sum(A.values, nbrs), 1.0, atol=1e-15)
+            assert A.values[nbrs.rows == 4].tolist() == [[1.0, 1.0, 1.0]]  # isolated: self only
+        # with slope 1 the scores are u[i] + v[j]: neither a per-row offset (a_src)
+        # nor a global one (a constant column of H) moves the softmax
+        plain = ad.gat_layer(t(H), nbrs, t(W), t(a_src), t(a_dst), 1.0)[1].values
+        offset = ad.gat_layer(t(np.hstack([H, np.ones((5, 1))])), nbrs,
+                              t(np.vstack([W, np.full((1, 3), 500.0)])), t(a_src), t(a_dst),
+                              1.0)[1].values
+        np.testing.assert_allclose(offset, plain, atol=1e-12)
+        np.testing.assert_allclose(ad.gat_layer(t(H), nbrs, t(W), t(0 * a_src), t(a_dst),
+                                                1.0)[1].values, plain, atol=1e-15)
 
     def test_spmm(self):
+        # each output is act(attention-weighted sum of the projected neighbours),
+        # ReLU for GAT, ELU (both branches) for the transformer, averaged over heads
         nbrs = nbrs_of()
         rng = np.random.default_rng(2)
-        A, X = rng.normal(size=(len(nbrs.rows), 2)), rng.normal(size=(5, 6))
-        for act, f in (("relu", lambda x: np.maximum(x, 0.0)),
-                       ("elu", lambda x: np.where(x > 0, x, np.expm1(np.minimum(x, 0.0))))):
-            out = ad.aggregate(t(A), t(X), nbrs, act).values
-            expect = np.mean([f(dense(nbrs, A[:, k]) @ Xk)
-                              for k, Xk in enumerate(blocks(X, 2))], axis=0)
-            np.testing.assert_allclose(out, expect, atol=1e-15)
+        H, W, a_src, a_dst = (rng.normal(size=s) for s in ((5, 3), (3, 6), (3, 2), (3, 2)))
+        Wq, Wk, Wv = (rng.normal(size=(3, 6)) for _ in range(3))
+        assert_layer_matches(nbrs, ad.gat_layer(t(H), nbrs, t(W), t(a_src), t(a_dst), 0.2),
+                             dense_gat(H, W, a_src, a_dst, nbrs, 0.2))
+        out, A = ad.transformer_layer(t(H), nbrs, t(Wq), t(Wk), t(Wv), 2, 0.5)
+        assert_layer_matches(nbrs, (out, A), dense_transformer(H, Wq, Wk, Wv, nbrs, 2, 0.5))
+        assert (out.values < 0).any() and (out.values > 0).any()
         with pytest.raises(ad.ShapeError):
-            ad.aggregate(t(A), t(X[:4]), nbrs, "relu")
+            ad.transformer_layer(t(H[:4]), nbrs, t(Wq), t(Wk), t(Wv), 2, 0.5)
         with pytest.raises(ad.ShapeError):
-            ad.aggregate(t(A[1:]), t(X), nbrs, "relu")
-        with pytest.raises(ValueError, match="act must be"):
-            ad.aggregate(t(A), t(X), nbrs, "tanh")
+            ad.transformer_layer(t(H), nbrs, t(Wq), t(Wk), t(Wv[:, :4]), 2, 0.5)
 
     def test_sddmm(self):
-        # transformer scores: head k of entry (i, j) is scale * P[i, block k] . Q[j, block k]
+        # transformer scores: head k of entry (i, j) is scale * Q[i, block k] . K[j, block k]
         nbrs = nbrs_of()
         rng = np.random.default_rng(3)
-        P, Q = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
-        out = ad.dot_attention(t(P), t(Q), nbrs, 3, 0.5).values
-        assert out.shape == (len(nbrs.rows), 3)
-        for k, (Pk, Qk) in enumerate(zip(blocks(P, 3), blocks(Q, 3))):
-            np.testing.assert_allclose(dense(nbrs, out[:, k]),
-                                       dense_softmax(nbrs, 0.5 * (Pk @ Qk.T)), atol=1e-15)
+        H, Wq, Wk, Wv = (rng.normal(size=s) for s in ((5, 2), (2, 6), (2, 6), (2, 6)))
+        assert_layer_matches(nbrs, ad.transformer_layer(t(H), nbrs, t(Wq), t(Wk), t(Wv), 3, 0.5),
+                             dense_transformer(H, Wq, Wk, Wv, nbrs, 3, 0.5))
         with pytest.raises(ad.ShapeError):
-            ad.dot_attention(t(P[:4]), t(Q[:4]), nbrs, 3, 0.5)
+            ad.transformer_layer(t(H), nbrs, t(Wq), t(Wk), t(Wv), 4, 0.5)
         with pytest.raises(ad.ShapeError):
-            ad.dot_attention(t(P), t(Q), nbrs, 4, 0.5)
+            ad.transformer_layer(t(H[:, :1]), nbrs, t(Wq), t(Wk), t(Wv), 3, 0.5)
 
     def test_head_mean(self):
-        # on self-loops alone with unit weights, aggregate is the mean of X's head blocks
+        # on self-loops alone the attention is 1, so with Wv = I the transformer
+        # averages H's head blocks (ELU leaves them, as none is negative)
         X = np.arange(12.0).reshape(2, 6)
-        out = ad.aggregate(t(np.ones((2, 3))), t(X), nbrs_of([], 2), "relu").values
-        np.testing.assert_allclose(out, (X[:, 0:2] + X[:, 2:4] + X[:, 4:6]) / 3)
+        eye = t(np.eye(6))
+        out, _ = ad.transformer_layer(t(X), nbrs_of([], 2), eye, eye, eye, 3, 1.0)
+        np.testing.assert_allclose(out.values, (X[:, 0:2] + X[:, 2:4] + X[:, 4:6]) / 3)
         with pytest.raises(ad.ShapeError):
-            ad.aggregate(t(np.ones((2, 4))), t(X), nbrs_of([], 2), "relu")
+            ad.gat_layer(t(X), nbrs_of([], 2), eye, t(np.zeros((2, 4))), t(np.zeros((2, 4))),
+                         0.2)
 
 
-# The attention primitives that the fused ops replace, written as they were:
-# the reference for the fused ops' outputs and gradients, bit for bit.
+# The chains of step ops that the layer ops replace, written as they were: the
+# reference for the layer ops' outputs and gradients, bit for bit.
+
+def chain_head_dot(X, a):
+    h, heads = a.shape
+    X3 = X.values.reshape(-1, heads, h)
+    return ad._make("head_dot", np.einsum("ikh,hk->ik", X3, a.values),
+                    [(X, lambda g: (g[:, :, None] * a.values.T).reshape(X.shape)),
+                     (a, lambda g: np.einsum("ikh,ik->hk", X3, g))])
+
 
 def chain_edge_sum(u, v, nbrs):
     return ad._make("edge_sum", u.values[nbrs.rows] + v.values[nbrs.cols],
@@ -280,7 +335,7 @@ def chain_head_mean(X, heads):
 
 def chain_gat_layer(H, nbrs, W, a_src, a_dst):
     XW = ad.matmul(H, W)
-    E = chain_edge_sum(ad.head_dot(XW, a_src), ad.head_dot(XW, a_dst), nbrs)
+    E = chain_edge_sum(chain_head_dot(XW, a_src), chain_head_dot(XW, a_dst), nbrs)
     A = chain_edge_softmax(chain_leaky_relu(E, gae.LEAKY_SLOPE), nbrs)
     return chain_head_mean(ad.relu(chain_spmm(A, XW, nbrs)), A.shape[1]), A
 
@@ -423,37 +478,43 @@ class TestGradCheck:
                  if rng.random() > 0.5]
         nbrs = nbrs_of(edges, m)
         x = t(rng.normal(size=(m, 4)), rg=True)
-        K = t(rng.normal(size=(m, 4)))
+        Wq, Wk, Wv = (t(rng.normal(size=(4, 8))) for _ in range(3))
 
         def f(v):
-            return ad.tsum(ad.square(ad.dot_attention(v, K, nbrs, 2, 0.5)))
+            return ad.tsum(ad.square(ad.transformer_layer(v, nbrs, Wq, Wk, Wv, 2, 0.5)[0]))
 
         assert grad_check(f, x) < 1e-6
 
-    @pytest.mark.parametrize("op", ["head_dot", "edge_softmax", "sddmm",
-                                    "gat_attention", "dot_attention",
-                                    "aggregate-relu", "aggregate-elu"])
+    # Each case runs a layer op on the 5-node graph with an isolated node, set
+    # up to exercise the step it is named after; every parent is checked.
+    EDGE_OP_CASES = {
+        # several heads of width 2: a_src and a_dst read per head
+        "head_dot": (ad.gat_layer, [(5, 4), (4, 6), (2, 3), (2, 3)], [0.2]),
+        # slope 1 makes the LeakyReLU the identity: the edge softmax alone
+        "edge_softmax": (ad.gat_layer, [(5, 3), (3, 3), (1, 3), (1, 3)], [1.0]),
+        # one head at unit scale: the bare per-edge dot product
+        "sddmm": (ad.transformer_layer, [(5, 2), (2, 2), (2, 2), (2, 2)], [1, 1.0]),
+        "gat_attention": (ad.gat_layer, [(5, 3), (3, 3), (1, 3), (1, 3)], [0.2]),
+        "dot_attention": (ad.transformer_layer, [(5, 2), (2, 6), (2, 6), (2, 6)], [3, 0.5]),
+        "aggregate-relu": (ad.gat_layer, [(5, 6), (6, 6), (2, 3), (2, 3)], [0.2]),
+        "aggregate-elu": (ad.transformer_layer, [(5, 6), (6, 6), (6, 6), (6, 6)], [2, 1.0]),
+    }
+
+    @pytest.mark.parametrize("op", list(EDGE_OP_CASES))
     def test_edge_op_gradients(self, op):
         nbrs = nbrs_of()
         rng = np.random.default_rng(5)
-        nnz = len(nbrs.rows)
-        fn, shapes, args = {
-            "head_dot": (ad.head_dot, [(5, 6), (2, 3)], []),
-            # slope 1 makes the LeakyReLU the identity: the edge softmax alone
-            "edge_softmax": (ad.gat_attention, [(5, 3), (5, 3)], [nbrs, 1.0]),
-            # one head at unit scale: the bare per-edge dot product
-            "sddmm": (ad.dot_attention, [(5, 2), (5, 2)], [nbrs, 1, 1.0]),
-            "gat_attention": (ad.gat_attention, [(5, 3), (5, 3)], [nbrs, 0.2]),
-            "dot_attention": (ad.dot_attention, [(5, 6), (5, 6)], [nbrs, 3, 0.5]),
-            "aggregate-relu": (ad.aggregate, [(nnz, 3), (5, 6)], [nbrs, "relu"]),
-            "aggregate-elu": (ad.aggregate, [(nnz, 3), (5, 6)], [nbrs, "elu"])}[op]
+        fn, shapes, args = self.EDGE_OP_CASES[op]
         inputs = [t(rng.normal(size=s)) for s in shapes]
-        R = t(rng.normal(size=fn(*inputs, *args).shape))
+        out = fn(inputs[0], nbrs, *inputs[1:], *args)[0].values
+        if fn is ad.transformer_layer:
+            assert (out < 0).any()      # ELU's negative branch
+        R = t(rng.normal(size=out.shape))
         for x in inputs:
             x.requires_grad = True
 
             def f(v):
-                return ad.tsum(ad.mul(fn(*inputs, *args), R))
+                return ad.tsum(ad.mul(fn(inputs[0], nbrs, *inputs[1:], *args)[0], R))
 
             assert grad_check(f, x) < 1e-8
             x.requires_grad = False

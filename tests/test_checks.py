@@ -6,7 +6,9 @@ import json
 import math
 import os
 import stat
+import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -80,3 +82,56 @@ def test_file_mode_honours_the_umask(tmp_path, umask, mode):
     assert stat.S_IMODE(os.stat(tmp_path / "doc.json").st_mode) == mode
     assert stat.S_IMODE(os.stat(plain).st_mode) == mode
     assert (tmp_path / "doc.json").read_text() == old_dump({"a": [1, 2]})
+
+
+def written(doc):
+    """The bytes ``write_json(doc)`` leaves in a fresh directory, or the class
+    of what it raises; either way the directory holds nothing else."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        try:
+            checks.write_json(path, doc)
+        except TypeError as exc:
+            assert os.listdir(tmp) == []
+            return type(exc)
+        assert os.listdir(tmp) == ["doc.json"]
+        with open(path) as fh:
+            return fh.read()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=json_values)
+def test_written_bytes_are_json_dumps_indent_1_sorted(doc):
+    assert written(doc) == outcome(old_dump, doc)
+
+
+def as_lists(doc):
+    """``doc`` with every numpy array replaced by its ``tolist()``."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {key: as_lists(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [as_lists(x) for x in doc]
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    np.array([0.1, -2.5e-308, 5e-324, 1e300]), np.array([[1.5, math.nan], [math.inf, -0.0]]),
+    np.arange(6).reshape(2, 3), np.array([]), np.zeros((2, 0)), np.array(True),
+    {"values": np.linspace(0, 1, 7), "shape": [7], "split": {"train": np.array([3, 1])}},
+    [np.array([1.0]), [np.array([2.0, 3.0])], {"a": np.array([[1, 2]])}],
+    {"a": [], "b": [[]], "c": {}, "d": np.array([])},
+    {2: np.array([1.0, 2.0]), 10: [], -1: {"k": np.array([3])}},
+    {"a": {True: np.array([[0.5]]), False: []}},
+])
+def test_arrays_empty_lists_and_other_keys(doc):
+    assert checks.json_text(doc) == written(doc) == old_dump(as_lists(doc))
+
+
+def test_value_failing_mid_write_leaves_no_file(tmp_path):
+    # "a" sorts first, so its text is written before "b" is reached and fails
+    doc = {"a": np.arange(10000.0), "b": [object()]}
+    with pytest.raises(TypeError):
+        checks.write_json(str(tmp_path / "doc.json"), doc)
+    assert list(tmp_path.iterdir()) == []

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vibgraph import cli, gae, pipeline, synthetic
+from vibgraph import cli, gae, graph as graph_mod, pipeline, synthetic
 
 FAST_CONFIG = """
 candidate_windows = [8, 16]
@@ -595,6 +595,25 @@ class TestDtwHeatmap:
         assert rc == cli.EXIT_VALIDATION
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "m x w matrix" in err
+
+    def test_config_pair_budget_refused_before_dtw(self, built, workspace, tmp_path, capsys,
+                                                   monkeypatch):
+        config = tmp_path / "tight.toml"
+        config.write_text(config_text(workspace["data_dir"], "pair_budget = 10"))
+
+        def no_dtw(*args, **kwargs):
+            raise AssertionError("DTW ran past the pair budget")
+
+        monkeypatch.setattr(graph_mod, "_batched_dtw_equal_length", no_dtw)
+        out = tmp_path / "heat.csv"
+        rc = cli.main(["dtw-heatmap", "--config", str(config), "--graph", built["graph"],
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_BUDGET
+        m = len(json.load(open(built["graph"]))["meta"]["segments"])
+        assert err == (f"error: {m * (m - 1) // 2} segment pairs exceed the budget of 10; "
+                       "raise the segmentation stride or cap the segment count\n")
+        assert not out.exists()
 
 
 def test_import_leaves_scipy_unloaded():

@@ -518,6 +518,7 @@ class TestTraining:
         g = self.random_graph()
         config = gae.GaeConfig(epochs=1)
         unit = g.num_nodes * config.gat_heads * config.hidden_dim * 8
+        import scipy.sparse     # noqa: F401  imported at first use, once per process
         tracemalloc.start()
         try:
             gae.train(g, config)
@@ -525,6 +526,27 @@ class TestTraining:
         finally:
             tracemalloc.stop()
         assert peak <= 17 * unit, (peak / unit, unit)
+
+    def test_forward_keeps_no_projection(self):
+        # what a forward pass leaves for backward: each layer's attention, sign
+        # masks and ELU derivative, not its projections of the layer input,
+        # which backward recomputes
+        g = self.random_graph()
+        config = gae.GaeConfig()
+        unit = g.num_nodes * config.gat_heads * config.hidden_dim * 8
+        params = gae.init_params(config, np.random.default_rng(0))
+        eps = np.zeros((g.num_nodes, config.latent_dim))
+        gae.forward_loss(g, params, config, eps)    # imports scipy, builds the CSR view
+        tracemalloc.start()
+        try:
+            out = gae.forward_loss(g, params, config, eps)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert live <= 4 * unit, (
+            f"{live / unit:.2f} units live after forward_loss; the projections "
+            f"H W, H Wq, H Wk and H Wv of the five layers alone are 6 units")
+        ad.backward(out["L"])
 
     def test_embed_builds_no_graph(self):
         g = self.random_graph(m=40, density=0.2)
