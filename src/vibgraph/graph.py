@@ -44,7 +44,13 @@ class PairBudgetError(RuntimeError):
     pass
 
 
-def _batched_dtw_equal_length(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _dtw_work(w: int, P: int):
+    """Scratch for ``_batched_dtw_equal_length`` on up to P pairs of length w:
+    two (w+1, P) DP rows, one (w, P) cost row and one P-vector."""
+    return np.empty((w + 1, P)), np.empty((w + 1, P)), np.empty((w, P)), np.empty(P)
+
+
+def _batched_dtw_equal_length(A: np.ndarray, B: np.ndarray, work=None) -> np.ndarray:
     """DTW distances for P aligned pairs of equal-length sequences.
 
     A, B have shape (P, w). The DP runs row by row over the w x w grid with
@@ -52,13 +58,16 @@ def _batched_dtw_equal_length(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     writes contiguous P-vectors. Only two (w+1, P) DP rows and one (w, P)
     cost row are held, O(w P) memory. Per cell it takes the same minima in
     the same order as ``dtw_distance``, so the results are bit-identical to it.
+
+    ``work``, from ``_dtw_work(w, P')`` with P' >= P, is used instead of new
+    scratch, so that a run of calls allocates no DP rows; the result is then
+    a view into ``work``, overwritten by the next call that uses it.
     """
     P, w = A.shape
     At, Bt = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
-    prev, cur = np.full((w + 1, P), np.inf), np.full((w + 1, P), np.inf)
+    prev, cur, c, t = (x[..., :P] for x in (work or _dtw_work(w, P)))
     prev[0] = 0.0
-    c = np.empty((w, P))
-    t = np.empty(P)
+    prev[1:] = np.inf
     for i in range(w):
         np.subtract(At[i], Bt, out=c)
         np.abs(c, out=c)
@@ -94,9 +103,19 @@ def pairwise_distances(values, max_pairs_budget: int = DEFAULT_PAIR_BUDGET) -> n
 
     D = np.zeros((m, m))
     ii, jj = np.triu_indices(m, k=1)
-    for lo in range(0, n_pairs, _PAIR_CHUNK):
-        i, j = ii[lo:lo + _PAIR_CHUNK], jj[lo:lo + _PAIR_CHUNK]
-        D[i, j] = D[j, i] = _batched_dtw_equal_length(values[i], values[j])
+    # One set of chunk buffers, filled in place. A chunk allocates nothing, so
+    # its time does not hang on whether malloc kept the last chunk's pages or
+    # gave them back to the operating system, to be faulted in again.
+    VT = np.ascontiguousarray(values.T)
+    w, P = VT.shape[0], min(n_pairs, _PAIR_CHUNK)
+    At, Bt = np.empty((w, P)), np.empty((w, P))
+    work = _dtw_work(w, P)
+    for lo in range(0, n_pairs, P):
+        i, j = ii[lo:lo + P], jj[lo:lo + P]
+        a, b = At[:, :len(i)], Bt[:, :len(i)]
+        np.take(VT, i, axis=1, out=a)
+        np.take(VT, j, axis=1, out=b)
+        D[i, j] = D[j, i] = _batched_dtw_equal_length(a.T, b.T, work)
     return D
 
 

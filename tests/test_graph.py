@@ -164,6 +164,18 @@ class TestPairwiseDistances:
         monkeypatch.setattr(gr, "_PAIR_CHUNK", 3)
         assert np.array_equal(gr.pairwise_distances(values), whole)
 
+    def test_chunks_share_one_scratch(self, monkeypatch):
+        # 21 pairs in chunks of 4, the last one short: one set of DP rows
+        # serves every chunk, and the short chunk reads only its own columns
+        values = np.random.default_rng(5).normal(size=(7, 5))
+        whole = gr.pairwise_distances(values)
+        made = []
+        work = gr._dtw_work
+        monkeypatch.setattr(gr, "_dtw_work", lambda w, P: made.append(P) or work(w, P))
+        monkeypatch.setattr(gr, "_PAIR_CHUNK", 4)
+        assert np.array_equal(gr.pairwise_distances(values), whole)
+        assert made == [4]
+
     def test_ragged_input_rejected(self):
         # windows of different lengths, and a 1-D array, are no m x w matrix
         for values in ([np.arange(4.0), np.arange(6.0), np.arange(5.0)], np.arange(6.0)):
