@@ -11,7 +11,7 @@ import numpy as np
 from .checks import atomic_write_text, numbers, read_json, write_json
 
 DEFAULT_PAIR_BUDGET = 2_000_000
-_PAIR_CHUNK = 4096          # pairs per batched DTW call, bounds its (w+1, P) rows
+_CHUNK_CELLS = 24_576       # w x pairs per batched DTW chunk, keeps its buffers in L2
 
 
 def dtw_distance(a, b) -> float:
@@ -46,38 +46,44 @@ class PairBudgetError(RuntimeError):
 
 def _dtw_work(w: int, P: int):
     """Scratch for ``_batched_dtw_equal_length`` on up to P pairs of length w:
-    two (w+1, P) DP rows, one (w, P) cost row and one P-vector."""
-    return np.empty((w + 1, P)), np.empty((w + 1, P)), np.empty((w, P)), np.empty(P)
+    three (w+1, P) DP diagonals as one array, and two (w, P) scratch rows."""
+    return np.empty((3, w + 1, P)), np.empty((w, P)), np.empty((w, P))
 
 
 def _batched_dtw_equal_length(A: np.ndarray, B: np.ndarray, work=None) -> np.ndarray:
     """DTW distances for P aligned pairs of equal-length sequences.
 
-    A, B have shape (P, w). The DP runs row by row over the w x w grid with
-    the pair axis vectorized and stored last, so each cell update reads and
-    writes contiguous P-vectors. Only two (w+1, P) DP rows and one (w, P)
-    cost row are held, O(w P) memory. Per cell it takes the same minima in
-    the same order as ``dtw_distance``, so the results are bit-identical to it.
+    A, B have shape (P, w). The DP runs over the anti-diagonals i + j = s of
+    the w x w grid, whose cells do not wait on each other: five numpy calls
+    per diagonal, on P-vectors (pair axis last). Three rotating (w+1, P)
+    buffers hold the last three diagonals, indexed by grid row i. B is read
+    with its steps reversed, so a diagonal's cost is the difference of two
+    row slices of ``A.T`` and ``B.T[::-1]``, read without a copy when their
+    rows are contiguous, as ``pairwise_distances`` passes them. Per cell it
+    takes the same minima in the same order as ``dtw_distance``, so the
+    results are bit-identical to it.
 
     ``work``, from ``_dtw_work(w, P')`` with P' >= P, is used instead of new
-    scratch, so that a run of calls allocates no DP rows; the result is then
-    a view into ``work``, overwritten by the next call that uses it.
+    scratch, so that a run of calls allocates no DP buffers; the result is
+    then a view into ``work``, overwritten by the next call that uses it.
     """
     P, w = A.shape
-    At, Bt = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
-    prev, cur, c, t = (x[..., :P] for x in (work or _dtw_work(w, P)))
-    prev[0] = 0.0
-    prev[1:] = np.inf
-    for i in range(w):
-        np.subtract(At[i], Bt, out=c)
-        np.abs(c, out=c)
-        cur[0] = np.inf
-        for j in range(1, w + 1):
-            np.minimum(prev[j], cur[j - 1], out=t)
-            np.minimum(t, prev[j - 1], out=t)
-            np.add(c[j - 1], t, out=cur[j])
-        prev, cur = cur, prev
-    return prev[w]
+    At, Br = A.T, B.T[::-1]
+    E, c, t = (x[..., :P] for x in (work or _dtw_work(w, P)))
+    E.fill(np.inf)                  # rows of a diagonal off the grid: DP border
+    E[0, 0] = 0.0
+    for s in range(2, 2 * w + 1):
+        lo, hi = max(1, s - w), min(w, s - 1)     # grid rows i on diagonal s
+        cost, best = c[:hi - lo + 1], t[:hi - lo + 1]
+        np.subtract(At[lo - 1:hi], Br[w - s + lo:w - s + hi + 1], out=cost)
+        np.abs(cost, out=cost)
+        up_left, diag = E[(s - 1) % 3], E[(s - 2) % 3]
+        np.minimum(up_left[lo - 1:hi], up_left[lo:hi + 1], out=best)
+        np.minimum(best, diag[lo - 1:hi], out=best)
+        if s == 3:
+            E[0, 0] = np.inf        # diagonal 0's buffer now holds diagonal 3
+        np.add(cost, best, out=E[s % 3, lo:hi + 1])
+    return E[2 * w % 3, w]
 
 
 def check_pair_budget(m: int, max_pairs_budget: int) -> int:
@@ -96,26 +102,35 @@ def pairwise_distances(values, max_pairs_budget: int = DEFAULT_PAIR_BUDGET) -> n
     count exceeds the budget rather than silently subsampling."""
     values = numbers(values, "pairwise_distances needs an m x w matrix: windows of one "
                      "length", shape=(None, None)).astype(np.float64, copy=False)
-    m = len(values)
+    m, w = values.shape
     if m < 2:
         raise ValueError("pairwise_distances needs at least 2 segments")
+    if w == 0:
+        raise ValueError("pairwise_distances: empty windows")
+    # a nan or inf sample makes nan or inf distances (inf - inf is nan)
+    if not np.isfinite(values).all():
+        raise ValueError("pairwise_distances: windows must hold finite values")
     n_pairs = check_pair_budget(m, max_pairs_budget)
 
     D = np.zeros((m, m))
     ii, jj = np.triu_indices(m, k=1)
     # One set of chunk buffers, filled in place. A chunk allocates nothing, so
     # its time does not hang on whether malloc kept the last chunk's pages or
-    # gave them back to the operating system, to be faulted in again.
+    # gave them back to the operating system, to be faulted in again. A
+    # chunk's longest diagonal holds about _CHUNK_CELLS cells (w per pair), so
+    # that its buffers stay in a core's L2 cache at every w.
     VT = np.ascontiguousarray(values.T)
-    w, P = VT.shape[0], min(n_pairs, _PAIR_CHUNK)
-    At, Bt = np.empty((w, P)), np.empty((w, P))
+    VR = VT[::-1].copy()            # steps reversed, for the second window of a pair
+    P = min(n_pairs, max(1, _CHUNK_CELLS // w))
+    At, Br = np.empty(w * P), np.empty(w * P)       # flat: a short chunk's (w, n) is contiguous
     work = _dtw_work(w, P)
     for lo in range(0, n_pairs, P):
         i, j = ii[lo:lo + P], jj[lo:lo + P]
-        a, b = At[:, :len(i)], Bt[:, :len(i)]
-        np.take(VT, i, axis=1, out=a)
-        np.take(VT, j, axis=1, out=b)
-        D[i, j] = D[j, i] = _batched_dtw_equal_length(a.T, b.T, work)
+        a, b = At[:w * len(i)].reshape(w, -1), Br[:w * len(i)].reshape(w, -1)
+        # mode "raise" would gather into a temporary copy of out
+        np.take(VT, i, axis=1, out=a, mode="clip")
+        np.take(VR, j, axis=1, out=b, mode="clip")
+        D[i, j] = D[j, i] = _batched_dtw_equal_length(a.T, b[::-1].T, work)
     return D
 
 

@@ -596,6 +596,28 @@ class TestDtwHeatmap:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "m x w matrix" in err
 
+    @pytest.mark.parametrize("bad, message", [("nan", "finite values"),
+                                              ("empty", "empty windows")])
+    def test_unusable_segments_are_validation_error(self, built, tmp_path, capsys,
+                                                    bad, message):
+        # json writes nan as NaN and reads it back; neither it nor empty
+        # windows may reach the DTW kernel
+        doc = json.load(open(built["graph"]))
+        segs = doc["meta"]["segments"]
+        if bad == "nan":
+            segs[1][0] = float("nan")
+        else:
+            doc["meta"]["segments"] = [[] for _ in segs]
+        graph = tmp_path / "bad.json"
+        graph.write_text(json.dumps(doc))
+        out = tmp_path / "heat.csv"
+        rc = cli.main(["dtw-heatmap", "--graph", str(graph), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_VALIDATION
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
     def test_config_pair_budget_refused_before_dtw(self, built, workspace, tmp_path, capsys,
                                                    monkeypatch):
         config = tmp_path / "tight.toml"

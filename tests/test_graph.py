@@ -107,7 +107,7 @@ class TestBatchedDtw:
         batched = gr._batched_dtw_equal_length(A, B)
         assert batched.tolist() == [gr.dtw_distance(a, b) for a, b in zip(A, B)]
 
-    @pytest.mark.parametrize("w", [1, 2, 64])
+    @pytest.mark.parametrize("w", [1, 2, 64, 128])
     def test_equals_scalar_at_edge_lengths(self, w):
         rng = np.random.default_rng(w)
         A, B = rng.choice([-3.5, 0.0, 0.1, 0.2], size=(2, 50, w))
@@ -158,21 +158,32 @@ class TestPairwiseDistances:
             assert D[i, j] == pytest.approx(gr.dtw_distance(arrays[i], arrays[j]))
 
     def test_chunk_boundaries_do_not_change_values(self, monkeypatch):
-        # 21 pairs in chunks of 3: chunk boundaries fall inside rows of D
+        # 21 pairs in chunks of 3 (15 cells at w=5): chunk boundaries fall
+        # inside rows of D
         values = np.random.default_rng(4).normal(size=(7, 5))
         whole = gr.pairwise_distances(values)
-        monkeypatch.setattr(gr, "_PAIR_CHUNK", 3)
+        monkeypatch.setattr(gr, "_CHUNK_CELLS", 15)
         assert np.array_equal(gr.pairwise_distances(values), whole)
 
+    def test_budget_below_window_gives_one_pair_per_chunk(self, monkeypatch):
+        values = np.random.default_rng(6).normal(size=(5, 5))
+        whole = gr.pairwise_distances(values)
+        made = []
+        work = gr._dtw_work
+        monkeypatch.setattr(gr, "_dtw_work", lambda w, P: made.append(P) or work(w, P))
+        monkeypatch.setattr(gr, "_CHUNK_CELLS", 4)
+        assert np.array_equal(gr.pairwise_distances(values), whole)
+        assert made == [1]
+
     def test_chunks_share_one_scratch(self, monkeypatch):
-        # 21 pairs in chunks of 4, the last one short: one set of DP rows
+        # 21 pairs in chunks of 4, the last one short: one set of DP buffers
         # serves every chunk, and the short chunk reads only its own columns
         values = np.random.default_rng(5).normal(size=(7, 5))
         whole = gr.pairwise_distances(values)
         made = []
         work = gr._dtw_work
         monkeypatch.setattr(gr, "_dtw_work", lambda w, P: made.append(P) or work(w, P))
-        monkeypatch.setattr(gr, "_PAIR_CHUNK", 4)
+        monkeypatch.setattr(gr, "_CHUNK_CELLS", 20)       # 4 pairs at w=5
         assert np.array_equal(gr.pairwise_distances(values), whole)
         assert made == [4]
 
@@ -181,6 +192,20 @@ class TestPairwiseDistances:
         for values in ([np.arange(4.0), np.arange(6.0), np.arange(5.0)], np.arange(6.0)):
             with pytest.raises(ValueError, match="m x w matrix"):
                 gr.pairwise_distances(values)
+
+    def test_empty_windows_rejected(self):
+        # as dtw_distance refuses an empty sequence
+        with pytest.raises(ValueError, match="empty windows"):
+            gr.pairwise_distances(np.empty((4, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_windows_rejected(self, bad):
+        values = np.random.default_rng(6).normal(size=(4, 6))
+        values[2, 3] = bad
+        with pytest.raises(ValueError, match="finite values"):
+            gr.pairwise_distances(values)
+        with pytest.raises(ValueError, match="finite values"):    # JSON lists, as meta.segments
+            gr.pairwise_distances(values.tolist())
 
     def test_budget_enforced(self):
         arrays = [np.arange(4.0)] * 10   # 45 pairs
