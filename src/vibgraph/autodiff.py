@@ -1,9 +1,10 @@
 """Minimal reverse-mode automatic differentiation over dense 2-D float64 arrays.
 
-Everything is a matrix: scalars are 1x1, vectors are mx1 or 1xn. Ops build a
-dynamic tape (parent links on the output tensors); ``backward`` walks it in
+Everything is a matrix: scalars are 1x1, vectors are mx1 or 1xn. Each op's
+output keeps its input tensors and one vjp, which maps the output's gradient
+to one gradient per input, in input order; ``backward`` walks these links in
 reverse topological order, accumulates gradients additively and consumes the
-tape as it goes.
+graph as it goes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class DomainError(ValueError):
 class Tensor:
     """Dense 2-D float64 matrix with optional gradient tracking."""
 
-    __slots__ = ("values", "requires_grad", "grad", "_parents", "_op")
+    __slots__ = ("values", "requires_grad", "grad", "_parents", "_vjp", "_op")
 
     def __init__(self, values, requires_grad=False):
         arr = np.asarray(values, dtype=np.float64)
@@ -33,7 +34,8 @@ class Tensor:
         self.values = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()   # tuple of (parent Tensor, vjp callable); _CONSUMED once walked
+        self._parents = ()   # the op's input Tensors; _CONSUMED once walked
+        self._vjp = None     # g -> one gradient per input, in input order
         self._op = "leaf"
 
     @property
@@ -71,13 +73,13 @@ _ACTIVE_TAPE = None
 _CONSUMED = ("consumed by backward",)   # the parents of a node backward has walked
 
 
-def _make(kind, values, parents):
+def _make(kind, values, inputs, vjp):
     out = Tensor(values)
-    if any(p.requires_grad or p._parents for p, _ in parents):
-        out._parents = tuple(parents)
+    if any(p.requires_grad or p._parents for p in inputs):
+        out._parents, out._vjp = inputs, vjp
     out._op = kind
     if _ACTIVE_TAPE is not None:
-        _ACTIVE_TAPE.ops.append((kind, tuple(p for p, _ in parents), out))
+        _ACTIVE_TAPE.ops.append((kind, inputs, out))
     return out
 
 
@@ -96,9 +98,8 @@ def _check(kind, ok, *tensors):
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check("matmul", a.shape[1] == b.shape[0], a, b)
-    return _make("matmul", a.values @ b.values,
-                 [(a, lambda g: g @ b.values.T),
-                  (b, lambda g: a.values.T @ g)])
+    return _make("matmul", a.values @ b.values, (a, b),
+                 lambda g: (g @ b.values.T, a.values.T @ g))
 
 
 def _broadcast_vjp(t, g):
@@ -116,67 +117,63 @@ def _broadcastable(a, b):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check("add", _broadcastable(a, b), a, b)
-    return _make("add", a.values + b.values,
-                 [(a, lambda g: _broadcast_vjp(a, g)),
-                  (b, lambda g: _broadcast_vjp(b, g))])
+    return _make("add", a.values + b.values, (a, b),
+                 lambda g: (_broadcast_vjp(a, g), _broadcast_vjp(b, g)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check("sub", _broadcastable(a, b), a, b)
-    return _make("sub", a.values - b.values,
-                 [(a, lambda g: _broadcast_vjp(a, g)),
-                  (b, lambda g: -_broadcast_vjp(b, g))])
+    return _make("sub", a.values - b.values, (a, b),
+                 lambda g: (_broadcast_vjp(a, g), -_broadcast_vjp(b, g)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check("mul", _broadcastable(a, b), a, b)
-    return _make("mul", a.values * b.values,
-                 [(a, lambda g: _broadcast_vjp(a, g * b.values)),
-                  (b, lambda g: _broadcast_vjp(b, g * a.values))])
+    return _make("mul", a.values * b.values, (a, b),
+                 lambda g: (_broadcast_vjp(a, g * b.values), _broadcast_vjp(b, g * a.values)))
 
 
 def scalar_mul(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _make("scalar_mul", a.values * c, [(a, lambda g: g * c)])
+    return _make("scalar_mul", a.values * c, (a,), lambda g: (g * c,))
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.values > 0
-    return _make("relu", np.where(mask, a.values, 0.0),
-                 [(a, lambda g: g * mask)])
+    return _make("relu", np.where(mask, a.values, 0.0), (a,), lambda g: (g * mask,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     s = 1.0 / (1.0 + np.exp(-a.values))
-    return _make("sigmoid", s, [(a, lambda g: g * s * (1.0 - s))])
+    return _make("sigmoid", s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def exp(a: Tensor) -> Tensor:
     e = np.exp(a.values)
-    return _make("exp", e, [(a, lambda g: g * e)])
+    return _make("exp", e, (a,), lambda g: (g * e,))
 
 
 def log(a: Tensor) -> Tensor:
     if np.any(a.values <= 0):
         raise DomainError("log of non-positive value")
-    return _make("log", np.log(a.values), [(a, lambda g: g / a.values)])
+    return _make("log", np.log(a.values), (a,), lambda g: (g / a.values,))
 
 
 def square(a: Tensor) -> Tensor:
-    return _make("square", a.values ** 2, [(a, lambda g: g * 2.0 * a.values)])
+    return _make("square", a.values ** 2, (a,), lambda g: (g * 2.0 * a.values,))
 
 
 def row_softmax(a: Tensor) -> Tensor:
     z = a.values - a.values.max(axis=1, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=1, keepdims=True)
-    return _make("row_softmax", s,
-                 [(a, lambda g: s * (g - (g * s).sum(axis=1, keepdims=True)))])
+    return _make("row_softmax", s, (a,),
+                 lambda g: (s * (g - (g * s).sum(axis=1, keepdims=True)),))
 
 
 def tsum(a: Tensor) -> Tensor:
-    return _make("sum", np.array([[a.values.sum()]]),
-                 [(a, lambda g: np.full(a.shape, g[0, 0]))])
+    return _make("sum", np.array([[a.values.sum()]]), (a,),
+                 lambda g: (np.full(a.shape, g[0, 0]),))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +181,7 @@ def tsum(a: Tensor) -> Tensor:
 # attention holds one row per entry and one column per head, node arrays hold
 # head k in column block k; the pattern is symmetric, so an edge array
 # transposed is that array [perm] on the same pattern. A layer is one op: it
-# saves its input, parameters, attention and sign masks, and its backward
+# saves its input, parameters, attention and sign masks, and its one vjp
 # recomputes the input's projections, then runs the vjps of the chain of
 # steps it replaces in that chain's order, so gradients match it bit for bit.
 
@@ -230,19 +227,6 @@ def _head_mean(P: np.ndarray, heads: int, act: str):
     return P.reshape(len(P), heads, -1).mean(axis=1), dact
 
 
-def _make_layer(kind, values, parents, vjp):
-    """An op whose ``vjp(g)`` returns every parent's gradient, in ``parents``
-    order: backward hands each parent's vjp the same ``g``, so the first call
-    computes them all and each call takes its own."""
-    grads = []
-
-    def take(k, g):
-        if not grads:
-            grads.extend(vjp(g))
-        return grads[k]
-    return _make(kind, values, [(p, lambda g, k=k: take(k, g)) for k, p in enumerate(parents)])
-
-
 def gat_layer(H: Tensor, nbrs, W: Tensor, a_src: Tensor, a_dst: Tensor, slope: float):
     """One multi-head graph-attention layer. Head k projects P = H W_k (column
     block k of W), scores entry (i, j) LeakyReLU(P[i] . a_src[:, k] + P[j] .
@@ -276,7 +260,7 @@ def gat_layer(H: Tensor, nbrs, W: Tensor, a_src: Tensor, a_dst: Tensor, slope: f
         gXW += (gu[:, :, None] * av.T).reshape(gXW.shape)     # the aggregation's share,
         gXW += (gv[:, :, None] * bv.T).reshape(gXW.shape)     # then a_src's, then a_dst's
         return gXW @ Wv.T, Hv.T @ gXW, ga_src, ga_dst
-    return _make_layer("gat_layer", out, (H, W, a_src, a_dst), vjp), Tensor(A)
+    return _make("gat_layer", out, (H, W, a_src, a_dst), vjp), Tensor(A)
 
 
 def transformer_layer(H: Tensor, nbrs, Wq: Tensor, Wk: Tensor, Wv: Tensor, heads: int,
@@ -303,7 +287,7 @@ def transformer_layer(H: Tensor, nbrs, Wq: Tensor, Wk: Tensor, Wv: Tensor, heads
         gK = _spmm(gS[nbrs.perm], Hv @ Wqv, nbrs)
         return (gQ @ Wqv.T + gK @ Wkv.T + gV @ Wvv.T,     # (via Q + via K) + via V
                 Hv.T @ gQ, Hv.T @ gK, Hv.T @ gV)
-    return _make_layer("transformer_layer", out, (H, Wq, Wk, Wv), vjp), Tensor(A)
+    return _make("transformer_layer", out, (H, Wq, Wk, Wv), vjp), Tensor(A)
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +297,15 @@ def transformer_layer(H: Tensor, nbrs, Wq: Tensor, Wk: Tensor, Wv: Tensor, heads
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
 
-    The graph is consumed as it is walked: each op's vjp closures, and the
-    arrays they hold, are freed once they have run, and each gradient once
-    it has been handed on. A second backward through it is refused.
+    The graph is consumed as it is walked: each op's vjp, and the arrays it
+    holds, are freed once it has run, and each gradient once it has been
+    handed on. A second backward through it is refused, and so is a vjp that
+    returns a gradient too few or too many.
     """
     if loss.shape != (1, 1):
         raise ShapeError(f"backward expects a 1x1 scalar loss, got shape {loss.shape}")
 
-    # reverse topological order over the parent DAG
+    # reverse topological order over the input DAG
     order, seen = [], set()
     stack = [(loss, False)]
     while stack:
@@ -334,7 +319,7 @@ def backward(loss: Tensor) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent, _ in node._parents:
+        for parent in node._parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
 
@@ -343,15 +328,14 @@ def backward(loss: Tensor) -> None:
     while order:
         node = order.pop()
         g = grads.pop(id(node))
-        parents = node._parents
-        if parents:
-            node._parents = _CONSUMED
+        parents, vjp = node._parents, node._vjp
         if node.requires_grad:
             node.grad = g if node.grad is None else node.grad + g
-        for parent, vjp in parents:
-            pg = vjp(g)
-            key = id(parent)
-            grads[key] = grads[key] + pg if key in grads else pg
+        if parents:
+            node._parents, node._vjp = _CONSUMED, None
+            for parent, pg in zip(parents, vjp(g), strict=True):
+                key = id(parent)
+                grads[key] = grads[key] + pg if key in grads else pg
         node = g = parents = parent = vjp = pg = None    # free them before the next vjp
 
 
@@ -359,15 +343,15 @@ def backward(loss: Tensor) -> None:
 # Adam
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class AdamState:
     """Bias-corrected adaptive-moment optimizer state over a list of parameters."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros(p.shape) for p in self.params]
         self.v = [np.zeros(p.shape) for p in self.params]
@@ -380,12 +364,12 @@ def adam_step(state: AdamState) -> None:
             raise ValueError("adam_step: parameter has no gradient")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for k, p in enumerate(state.params):
         g = p.grad
         state.m[k] = b1 * state.m[k] + (1 - b1) * g
         state.v[k] = b2 * state.v[k] + (1 - b2) * g * g
         m_hat = state.m[k] / (1 - b1 ** t)
         v_hat = state.v[k] / (1 - b2 ** t)
-        p.values -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.values -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         p.grad = None

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .checks import write_json
 
 EXACT_WILCOXON_MAX_N = 12
 
@@ -47,9 +46,6 @@ class EvaluationReport:
             "macro_f1": self.macro_f1,
             "accuracy": self.accuracy,
         }
-
-    def save(self, path):
-        write_json(path, self.to_dict())
 
 
 # ---------------------------------------------------------------------------

@@ -284,53 +284,52 @@ class TestEdgeOps:
 def chain_head_dot(X, a):
     h, heads = a.shape
     X3 = X.values.reshape(-1, heads, h)
-    return ad._make("head_dot", np.einsum("ikh,hk->ik", X3, a.values),
-                    [(X, lambda g: (g[:, :, None] * a.values.T).reshape(X.shape)),
-                     (a, lambda g: np.einsum("ikh,ik->hk", X3, g))])
+    return ad._make("head_dot", np.einsum("ikh,hk->ik", X3, a.values), (X, a),
+                    lambda g: ((g[:, :, None] * a.values.T).reshape(X.shape),
+                               np.einsum("ikh,ik->hk", X3, g)))
 
 
 def chain_edge_sum(u, v, nbrs):
-    return ad._make("edge_sum", u.values[nbrs.rows] + v.values[nbrs.cols],
-                    [(u, lambda g: ad.row_sum(g, nbrs)),
-                     (v, lambda g: ad.row_sum(g[nbrs.perm], nbrs))])
+    return ad._make("edge_sum", u.values[nbrs.rows] + v.values[nbrs.cols], (u, v),
+                    lambda g: (ad.row_sum(g, nbrs), ad.row_sum(g[nbrs.perm], nbrs)))
 
 
 def chain_leaky_relu(a, slope):
     mask = a.values > 0
-    return ad._make("leaky_relu", np.where(mask, a.values, slope * a.values),
-                    [(a, lambda g: g * np.where(mask, 1.0, slope))])
+    return ad._make("leaky_relu", np.where(mask, a.values, slope * a.values), (a,),
+                    lambda g: (g * np.where(mask, 1.0, slope),))
 
 
 def chain_elu(a, alpha=1.0):
     mask = a.values > 0
     ex = np.exp(np.minimum(a.values, 0.0))
     out = np.where(mask, a.values, alpha * (ex - 1.0))
-    return ad._make("elu", out, [(a, lambda g: g * np.where(mask, 1.0, alpha * ex))])
+    return ad._make("elu", out, (a,), lambda g: (g * np.where(mask, 1.0, alpha * ex),))
 
 
 def chain_edge_softmax(E, nbrs):
     e = np.exp(E.values - np.maximum.reduceat(E.values, nbrs.indptr[:-1])[nbrs.rows])
     s = e / ad.row_sum(e, nbrs)[nbrs.rows]
-    return ad._make("edge_softmax", s,
-                    [(E, lambda g: s * (g - ad.row_sum(g * s, nbrs)[nbrs.rows]))])
+    return ad._make("edge_softmax", s, (E,),
+                    lambda g: (s * (g - ad.row_sum(g * s, nbrs)[nbrs.rows]),))
 
 
 def chain_spmm(A, X, nbrs):
     heads = A.shape[1]
-    return ad._make("spmm", ad._spmm(A.values, X.values, nbrs),
-                    [(A, lambda g: ad._sddmm(g, X.values, nbrs, heads)),
-                     (X, lambda g: ad._spmm(A.values[nbrs.perm], g, nbrs))])
+    return ad._make("spmm", ad._spmm(A.values, X.values, nbrs), (A, X),
+                    lambda g: (ad._sddmm(g, X.values, nbrs, heads),
+                               ad._spmm(A.values[nbrs.perm], g, nbrs)))
 
 
 def chain_sddmm(P, Q, nbrs, heads):
-    return ad._make("sddmm", ad._sddmm(P.values, Q.values, nbrs, heads),
-                    [(P, lambda g: ad._spmm(g, Q.values, nbrs)),
-                     (Q, lambda g: ad._spmm(g[nbrs.perm], P.values, nbrs))])
+    return ad._make("sddmm", ad._sddmm(P.values, Q.values, nbrs, heads), (P, Q),
+                    lambda g: (ad._spmm(g, Q.values, nbrs),
+                               ad._spmm(g[nbrs.perm], P.values, nbrs)))
 
 
 def chain_head_mean(X, heads):
-    return ad._make("head_mean", X.values.reshape(len(X.values), heads, -1).mean(axis=1),
-                    [(X, lambda g: np.tile(g / heads, heads))])
+    return ad._make("head_mean", X.values.reshape(len(X.values), heads, -1).mean(axis=1), (X,),
+                    lambda g: (np.tile(g / heads, heads),))
 
 
 def chain_gat_layer(H, nbrs, W, a_src, a_dst):
@@ -403,6 +402,20 @@ class TestBackward:
         y = ad.add(ad.square(x), ad.square(x))   # 2x^2, dy/dx = 4x
         ad.backward(ad.tsum(y))
         np.testing.assert_allclose(x.grad, [[8.0]])
+
+    def test_same_input_twice_gets_both_shares(self):
+        x = t([[1.5, -2.0], [0.25, 3.0]], rg=True)
+        ad.backward(ad.tsum(ad.mul(x, x)))
+        np.testing.assert_array_equal(x.grad, 2.0 * x.values)
+        y = t([[1.5, -2.0], [0.25, 3.0]], rg=True)
+        ad.backward(ad.tsum(ad.sub(y, y)))
+        np.testing.assert_array_equal(y.grad, np.zeros((2, 2)))
+
+    def test_vjp_with_too_few_gradients_refused(self):
+        a, b = t([[1.0]], rg=True), t([[2.0]], rg=True)
+        out = ad._make("short", a.values + b.values, (a, b), lambda g: (g,))
+        with pytest.raises(ValueError):
+            ad.backward(ad.tsum(out))
 
     def test_backward_needs_scalar(self):
         x = t(np.ones((2, 2)), rg=True)

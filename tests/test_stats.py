@@ -11,6 +11,7 @@ import pytest
 from scipy import stats as sps
 
 from vibgraph import stats as st
+from vibgraph.checks import write_json
 
 
 class TestConfusionMatrix:
@@ -61,7 +62,7 @@ class TestEvaluationReport:
         rep = st.evaluation_report([0, 1, 1, 2], [0, 1, 2, 2], 3,
                                    train_source="a", test_source="b")
         path = str(tmp_path / "rep.json")
-        rep.save(path)
+        write_json(path, rep.to_dict())
         import json
         loaded = json.load(open(path))
         assert loaded == rep.to_dict()
