@@ -15,9 +15,9 @@ from .ensemble import (EnsembleModel, fit_ensemble, fit_ensemble_weights,
                        cross_entropy, train_random_forest,
                        train_gradient_boosting, train_regularized_boosting,
                        train_mlp_classifier, save_ensemble, load_ensemble)
-from .stats import (EvaluationReport, TestResult, confusion_matrix,
-                    precision_recall_f1, accuracy, paired_ttest,
-                    wilcoxon_signed_rank, f1_summary, evaluation_report)
+from .stats import (TestResult, confusion_matrix, precision_recall_f1,
+                    accuracy, paired_ttest, wilcoxon_signed_rank, f1_summary,
+                    evaluation_report)
 from .data import (RawRecording, read_manifest, load_recordings, block_reduce,
                    assemble_dataset)
 

@@ -74,7 +74,7 @@ def cmd_evaluate(args):
                   "source_id": train_report.get("train_source", "")}
     report, doc = pipeline.evaluate_on_graph(model, ens, train_meta, graph, cfg)
     write_json(args.out, doc)
-    print(f"accuracy={report.accuracy:.4f} macro_f1={report.macro_f1:.4f} "
+    print(f"accuracy={report['accuracy']:.4f} macro_f1={report['macro_f1']:.4f} "
           f"-> {args.out}")
 
 

@@ -26,15 +26,11 @@ DEFAULT_REDUCER = "rms"
 @dataclass
 class RawRecording:
     samples: np.ndarray
-    sampling_rate: float
     fault_class: int
     load_tag: str
-    source_file: str = ""
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.sampling_rate <= 0:
-            raise ValueError("sampling_rate must be positive")
         if self.samples.size == 0:
             raise ValueError("recording has no samples")
 
@@ -116,9 +112,7 @@ def _read_samples(path: str, channel: int) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def load_recordings(data_dir: str, manifest: list[ManifestEntry],
-                    sampling_rate: float = DEFAULT_SAMPLING_RATE
-                    ) -> list[RawRecording]:
+def load_recordings(data_dir: str, manifest: list[ManifestEntry]) -> list[RawRecording]:
     """Load every manifest entry; NaN samples are dropped with a logged count."""
     recordings = []
     for entry in manifest:
@@ -133,11 +127,8 @@ def load_recordings(data_dir: str, manifest: list[ManifestEntry],
             samples = samples[~nan_mask]
         if samples.size == 0:
             raise ValueError(f"{entry.file}: empty after NaN removal")
-        recordings.append(RawRecording(samples=samples,
-                                       sampling_rate=sampling_rate,
-                                       fault_class=entry.fault_class,
-                                       load_tag=entry.load_tag,
-                                       source_file=entry.file))
+        recordings.append(RawRecording(samples=samples, fault_class=entry.fault_class,
+                                       load_tag=entry.load_tag))
     return recordings
 
 

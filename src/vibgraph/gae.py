@@ -185,23 +185,18 @@ def gae_loss(X: Tensor, X_hat: Tensor, mu: Tensor, logvar: Tensor,
             f"gae_loss got X {X.shape}, X_hat {X_hat.shape}, mu {mu.shape}, "
             f"logvar {logvar.shape}")
     m = X.shape[0]
-    if row_mask is None:
-        col = None
-        n_rows = m
-    else:
-        col = Tensor(np.asarray(row_mask, dtype=np.float64).reshape(m, 1))
-        n_rows = int(col.values.sum())
+    # no mask is a mask of ones: x * 1.0 is exact, so the loss and its
+    # gradients are those of the unmasked sums bit for bit
+    mask = np.ones(m) if row_mask is None else row_mask
+    col = Tensor(np.asarray(mask, dtype=np.float64).reshape(m, 1))
+    n_rows = int(col.values.sum())
 
-    sq = ad.square(ad.sub(X, X_hat))
-    if col is not None:
-        sq = ad.mul(sq, col)
+    sq = ad.mul(ad.square(ad.sub(X, X_hat)), col)
     L_rec = ad.scalar_mul(ad.tsum(sq), 1.0 / n_rows)
 
     ones = Tensor(np.ones(mu.shape))
     inner = ad.sub(ad.sub(ad.add(ones, logvar), ad.square(mu)), ad.exp(logvar))
-    if col is not None:
-        inner = ad.mul(inner, col)
-    L_KL = ad.scalar_mul(ad.tsum(inner), -0.5 / n_rows)
+    L_KL = ad.scalar_mul(ad.tsum(ad.mul(inner, col)), -0.5 / n_rows)
 
     L = ad.add(L_rec, ad.scalar_mul(L_KL, kl_weight))
     return L, L_rec, L_KL

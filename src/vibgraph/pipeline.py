@@ -45,7 +45,7 @@ DEFAULT_CONFIG = {
     # ingestion
     "block_size": DEFAULT_BLOCK,
     "reducer": DEFAULT_REDUCER,
-    "sampling_rate": DEFAULT_SAMPLING_RATE,
+    "sampling_rate": DEFAULT_SAMPLING_RATE,    # range-checked and hashed; no stage reads it
     "n_classes": DEFAULT_N_CLASSES,
     "manifest": "manifest.csv",
     "data_dir": ".",
@@ -230,19 +230,29 @@ def train_on_graph(graph: FaultGraph, cfg: dict):
     ens = fit_ensemble(H2[tr], labels[tr], {k: cfg[k] for k in DEFAULT_HYPERPARAMS},
                        seed=cfg["seed"])
 
-    n_classes = int(labels.max()) + 1
     source = graph.meta.get("source_id", "")
+    splits = _split_reports(model.split, labels, ens.predict(H2), int(labels.max()) + 1,
+                            source, source)
     report = {"config_hash": config_hash(cfg), "seed": cfg["seed"],
               "train_source": source, "scaler": graph.meta.get("scaler"),
-              "splits": {}}
-    for name, idx in model.split.items():
+              "splits": splits}
+    return model, ens, report
+
+
+def _split_reports(split, labels, pred, n_classes, train_source, test_source):
+    """The report of each non-empty split, sliced from ``labels`` and
+    ``pred``, which hold one entry per graph node; a split node past the
+    graph's last node is refused."""
+    reports = {}
+    for name, idx in split.items():
         if len(idx) == 0:
             continue
-        pred = ens.predict(H2[idx])
-        rep = stats.evaluation_report(labels[idx], pred, n_classes,
-                                      train_source=source, test_source=source)
-        report["splits"][name] = rep.to_dict()
-    return model, ens, report
+        if idx.max() >= len(labels):
+            raise ValueError(f"model split {name} holds node {int(idx.max())}, but "
+                             f"the graph has {len(labels)} nodes")
+        reports[name] = stats.evaluation_report(labels[idx], pred[idx], n_classes,
+                                                train_source, test_source)
+    return reports
 
 
 def save_model_dir(out_dir: str, model: TrainedGAE, ens: EnsembleModel,
@@ -310,34 +320,21 @@ def evaluate_on_graph(model: TrainedGAE, ens: EnsembleModel,
         raise ValueError(
             f"graph contains class {int(labels.max())} unseen during training")
     pred = ens.predict(H2)
-    report = stats.evaluation_report(
-        labels, pred, ens.n_classes,
-        train_source=train_meta.get("source_id", ""),
-        test_source=graph.meta.get("source_id", ""))
-
-    doc = report.to_dict()
-    doc["config_hash"] = config_hash(cfg)
-    doc["seed"] = cfg["seed"]
+    train_source = train_meta.get("source_id", "")
+    test_source = graph.meta.get("source_id", "")
+    report = stats.evaluation_report(labels, pred, ens.n_classes, train_source, test_source)
+    doc = dict(report, config_hash=config_hash(cfg), seed=cfg["seed"])
     # per-split breakdown when evaluating the model's own training graph
     if graph.meta.get("source_id") == train_meta.get("source_id") and model.split:
-        doc["splits"] = {}
-        for name, idx in model.split.items():
-            if len(idx) == 0:
-                continue
-            if idx.max() >= graph.num_nodes:
-                raise ValueError(f"model split {name} holds node {int(idx.max())}, but "
-                                 f"the graph has {graph.num_nodes} nodes")
-            rep = stats.evaluation_report(labels[idx], pred[idx], ens.n_classes,
-                                          train_source=doc["train_source"],
-                                          test_source=doc["test_source"])
-            doc["splits"][name] = rep.to_dict()
+        doc["splits"] = _split_reports(model.split, labels, pred, ens.n_classes,
+                                       train_source, test_source)
     return report, doc
 
 
 def load_series_by_load(cfg: dict) -> dict[str, TimeSeries]:
     manifest = read_manifest(os.path.join(cfg["data_dir"], cfg["manifest"]),
                              cfg["n_classes"])
-    recordings = load_recordings(cfg["data_dir"], manifest, cfg["sampling_rate"])
+    recordings = load_recordings(cfg["data_dir"], manifest)
     return assemble_dataset(recordings, cfg["block_size"], cfg["reducer"])
 
 
@@ -380,10 +377,10 @@ def cross_eval(cfg: dict, out_dir: str, loads: list[str] | None = None) -> dict:
             name = f"report_{train_tag}_to_{test_tag}.json"
             write_json(os.path.join(out_dir, name), doc)
             summary["reports"][f"{train_tag}->{test_tag}"] = {
-                "file": name, "macro_f1": report.macro_f1,
-                "accuracy": report.accuracy}
+                "file": name, "macro_f1": report["macro_f1"],
+                "accuracy": report["accuracy"]}
             reports.append(report)
-            per_test_f1.append(report.f1)
+            per_test_f1.append(report["f1"])
         f1_vectors[train_tag] = np.concatenate(per_test_f1)
         mean, std = stats.f1_summary(per_test_f1)
         summary["f1_summary"][train_tag] = {"mean": mean, "std": std}

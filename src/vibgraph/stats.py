@@ -3,7 +3,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,34 +18,6 @@ class TestResult:
     p_value: float
     significant_at_0_05: bool
     extra: dict = field(default_factory=dict)
-
-
-@dataclass
-class EvaluationReport:
-    confusion: np.ndarray
-    precision: np.ndarray
-    recall: np.ndarray
-    f1: np.ndarray
-    macro_precision: float
-    macro_recall: float
-    macro_f1: float
-    accuracy: float
-    train_source: str = ""
-    test_source: str = ""
-
-    def to_dict(self):
-        return {
-            "train_source": self.train_source,
-            "test_source": self.test_source,
-            "confusion": self.confusion.tolist(),
-            "precision": self.precision.tolist(),
-            "recall": self.recall.tolist(),
-            "f1": self.f1.tolist(),
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "accuracy": self.accuracy,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -94,16 +66,17 @@ def accuracy(confusion) -> float:
 
 
 def evaluation_report(true_labels, predicted_labels, n_classes,
-                      train_source="", test_source="") -> EvaluationReport:
+                      train_source="", test_source="") -> dict:
+    """The report as the JSON object a report file holds: the confusion
+    matrix, per-class and macro P/R/F1 and accuracy, as lists and floats."""
     cm = confusion_matrix(true_labels, predicted_labels, n_classes)
     prf = precision_recall_f1(cm)
-    return EvaluationReport(confusion=cm, precision=prf["precision"],
-                            recall=prf["recall"], f1=prf["f1"],
-                            macro_precision=prf["macro_precision"],
-                            macro_recall=prf["macro_recall"],
-                            macro_f1=prf["macro_f1"],
-                            accuracy=accuracy(cm),
-                            train_source=train_source, test_source=test_source)
+    return {"train_source": train_source, "test_source": test_source,
+            "confusion": cm.tolist(), "precision": prf["precision"].tolist(),
+            "recall": prf["recall"].tolist(), "f1": prf["f1"].tolist(),
+            "macro_precision": prf["macro_precision"],
+            "macro_recall": prf["macro_recall"], "macro_f1": prf["macro_f1"],
+            "accuracy": accuracy(cm)}
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +198,14 @@ def render_markdown_report(reports, title="Cross-dataset evaluation") -> str:
     """Text rendering of per-class P/R/F1 grids, one block per train->test pair."""
     lines = [f"# {title}", ""]
     for rep in reports:
-        lines.append(f"## train {rep.train_source} -> test {rep.test_source}")
+        lines.append(f"## train {rep['train_source']} -> test {rep['test_source']}")
         lines.append("")
-        lines.append(f"accuracy: {rep.accuracy:.4f}   macro F1: {rep.macro_f1:.4f}")
+        lines.append(f"accuracy: {rep['accuracy']:.4f}   macro F1: {rep['macro_f1']:.4f}")
         lines.append("")
         lines.append("| class | precision | recall | F1 |")
         lines.append("|---|---|---|---|")
-        for c in range(len(rep.f1)):
-            lines.append(f"| {c} | {rep.precision[c]:.4f} | "
-                         f"{rep.recall[c]:.4f} | {rep.f1[c]:.4f} |")
+        for c in range(len(rep["f1"])):
+            lines.append(f"| {c} | {rep['precision'][c]:.4f} | "
+                         f"{rep['recall'][c]:.4f} | {rep['f1'][c]:.4f} |")
         lines.append("")
     return "\n".join(lines)

@@ -136,8 +136,8 @@ class TestLoadRecordings:
 
 class TestBlockReduce:
     def rec(self, samples, fault_class=2):
-        return dt.RawRecording(samples=samples, sampling_rate=48000.0,
-                               fault_class=fault_class, load_tag="loadA")
+        return dt.RawRecording(samples=samples, fault_class=fault_class,
+                               load_tag="loadA")
 
     def test_rms_default(self):
         out = dt.block_reduce(self.rec([3.0, 4.0, 0.0, 0.0]), block=2)
@@ -177,7 +177,6 @@ class TestAssembleDataset:
         for load in ("loadA", "loadB"):
             for cls in (0, 1):
                 out.append(dt.RawRecording(samples=np.arange(4.0) + cls,
-                                           sampling_rate=48000.0,
                                            fault_class=cls, load_tag=load))
         return out
 

@@ -163,7 +163,7 @@ class TestTrainEvaluate:
         rep_a, doc_a = pl.evaluate_on_graph(model, ens, graph.meta, graph, cfg)
         rep_b, doc_b = pl.evaluate_on_graph(model2, ens2, graph.meta, graph, cfg)
         assert doc_a["macro_f1"] == pytest.approx(doc_b["macro_f1"], abs=1e-12)
-        assert "splits" in doc_a          # same-source evaluation
+        assert doc_a["splits"] == report["splits"]    # same-source evaluation
 
     def test_cross_source_uses_train_scaler(self):
         cfg = fast_cfg()
@@ -176,7 +176,7 @@ class TestTrainEvaluate:
         rep, doc = pl.evaluate_on_graph(model, ens, g_train.meta, g_test, cfg)
         assert doc["test_source"] == "other"
         assert "splits" not in doc
-        assert 0.0 <= rep.accuracy <= 1.0
+        assert 0.0 <= rep["accuracy"] <= 1.0
 
     def test_missing_scaler_rejected(self):
         cfg = fast_cfg()

@@ -11,7 +11,7 @@ import pytest
 from scipy import stats as sps
 
 from vibgraph import stats as st
-from vibgraph.checks import write_json
+from vibgraph.checks import json_text, write_json
 
 
 class TestConfusionMatrix:
@@ -62,13 +62,15 @@ class TestEvaluationReport:
         rep = st.evaluation_report([0, 1, 1, 2], [0, 1, 2, 2], 3,
                                    train_source="a", test_source="b")
         path = str(tmp_path / "rep.json")
-        write_json(path, rep.to_dict())
+        write_json(path, rep)
         import json
         loaded = json.load(open(path))
-        assert loaded == rep.to_dict()
-        np.testing.assert_array_equal(loaded["confusion"], rep.confusion)
-        assert loaded["macro_f1"] == rep.macro_f1
+        assert loaded == rep
+        assert loaded["confusion"] == [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
+        assert loaded["macro_f1"] == rep["macro_f1"]
         assert loaded["train_source"] == "a"
+        # plain lists and floats: the standard encoder writes the same text
+        assert json.dumps(rep, indent=1, sort_keys=True) == json_text(rep)
 
 
 class TestPairedT:
