@@ -14,7 +14,7 @@ from .gae import GaeConfig, TrainedGAE, train, embed, encode, decode
 from .ensemble import (EnsembleModel, fit_ensemble, fit_ensemble_weights,
                        cross_entropy, train_random_forest,
                        train_gradient_boosting, train_regularized_boosting,
-                       train_mlp_classifier, save_ensemble, load_ensemble)
+                       train_mlp_classifier, predict_base, save_ensemble, load_ensemble)
 from .stats import (TestResult, confusion_matrix, precision_recall_f1,
                     accuracy, paired_ttest, wilcoxon_signed_rank, f1_summary,
                     evaluation_report)

@@ -4,6 +4,7 @@ model.json, ensemble.json and train_report.json), each raising a one-line
 ValueError."""
 
 import json
+import operator
 import os
 import sys
 from itertools import chain
@@ -134,6 +135,17 @@ def numbers(value, message, shape=None, finite=False) -> np.ndarray:
             or bool in set(map(type, leaves))):     # a list mixing in true reads it as 1
         raise ValueError(message)
     return arr
+
+
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+def check_bounds(values, bounds):
+    """Raise ValueError for the first ``(key, op, bound)`` of ``bounds``, op
+    one of ">", ">=" and "<=", that ``values[key]`` does not meet."""
+    for key, op, bound in bounds:
+        if not _COMPARE[op](values[key], bound):
+            raise ValueError(f"{key} must be {op} {bound}, got {values[key]!r}")
 
 
 def exact_keys(doc, expected, message):

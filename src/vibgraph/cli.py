@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 validation error, 3 I/O error, 4 pair budget exceeded.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -50,7 +51,7 @@ def cmd_build_graph(args):
                          f"(available: {sorted(series)})")
     graph, sel = pipeline.build_graph_from_series(series[args.load], cfg)
     save_graph(graph, args.out)
-    scores_path = args.out.rsplit(".", 1)[0] + "_window_scores.csv"
+    scores_path = os.path.splitext(args.out)[0] + "_window_scores.csv"
     pipeline.save_window_scores(sel, scores_path, cfg)
     print(f"graph: {graph.num_nodes} nodes, {len(graph.edges)} edges, "
           f"w*={graph.meta['w_star']} -> {args.out}")

@@ -3,12 +3,12 @@
 Four base classifiers (random forest, first-order gradient boosting,
 second-order boosting with L2 leaf regularization, and a small feed-forward
 net on the autodiff engine) are combined by simplex weights fitted on
-out-of-fold predictions by exhaustive grid search.
+out-of-fold predictions by exhaustive grid search. A fitted base learner is
+its state: the JSON object ensemble.json holds under ``bases[kind]``.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 from functools import partial
 
@@ -16,7 +16,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checks import atomic_write_text, exact_keys, is_finite_number, numbers, read_json
+from .checks import (atomic_write_text, check_bounds, exact_keys, is_finite_number,
+                     numbers, read_json)
 
 ENSEMBLE_FORMAT_VERSION = 1
 
@@ -162,40 +163,23 @@ DEFAULT_HYPERPARAMS = {
 }
 _HP = DEFAULT_HYPERPARAMS
 
+_HP_BOUNDS = [("rf_trees", ">=", 1), ("rf_depth", ">=", 0),
+              ("gb_rounds", ">=", 0), ("gb_lr", ">", 0), ("gb_depth", ">=", 0),
+              ("xgb_rounds", ">=", 0), ("xgb_lr", ">", 0), ("xgb_depth", ">=", 0),
+              ("xgb_l2", ">=", 0), ("mlp_hidden", ">=", 1), ("mlp_epochs", ">=", 0),
+              ("mlp_lr", ">", 0), ("cv_folds", ">=", 2)]
+
 
 def check_hyperparams(hp):
-    """Raise ValueError naming the first setting out of range: cv_folds >= 2,
-    rf_trees and mlp_hidden >= 1, learning rates > 0, all others >= 0."""
-    for key in DEFAULT_HYPERPARAMS:
-        low = {"cv_folds": 2, "rf_trees": 1, "mlp_hidden": 1}.get(key, 0)
-        strict = key.endswith("_lr")
-        if not (hp[key] > low if strict else hp[key] >= low):
-            raise ValueError(f"{key} must be {'>' if strict else '>='} {low}, "
-                             f"got {hp[key]!r}")
-
-
-class RandomForest:
-    """Bagged CART trees: Gini splits, sqrt(d) feature subsampling, bootstrap rows."""
-
-    kind = "random_forest"
-
-    def __init__(self, n_classes, trees=()):
-        self.n_classes = n_classes
-        self.trees = list(trees)
-
-    def predict_proba(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        acc = np.zeros((len(X), self.n_classes))
-        for tree in self.trees:
-            acc += _tree_apply(tree, X, self.n_classes)
-        return acc / len(self.trees)
-
-    def state(self):
-        return {"n_classes": self.n_classes, "trees": self.trees}
+    """Raise ValueError naming the first setting out of its _HP_BOUNDS range."""
+    check_bounds(hp, _HP_BOUNDS)
 
 
 def train_random_forest(X, labels, n_trees=_HP["rf_trees"],
-                        max_depth=_HP["rf_depth"], seed=0) -> RandomForest:
+                        max_depth=_HP["rf_depth"], seed=0) -> dict:
+    """Bagged CART trees: Gini splits over sqrt(d) features drawn per node,
+    bootstrap rows. The state is ``{n_classes, trees}``, a leaf holding the
+    class frequencies of its rows; the forest averages them."""
     X = np.asarray(X, dtype=np.float64)
     labels, C = _check_labels(labels)
     onehot = np.eye(C)[labels]
@@ -217,48 +201,23 @@ def train_random_forest(X, labels, n_trees=_HP["rf_trees"],
     trees = [_grow_tree(X, rng.integers(0, len(X), size=len(X)), 0, max_depth,
                         split, leaf)
              for _ in range(n_trees)]
-    return RandomForest(C, trees)
+    return {"n_classes": C, "trees": trees}
 
 
-class Boosting:
-    """One-vs-all additive trees on softmax cross-entropy.
-
-    First-order mode fits mean-residual leaves; Newton mode uses
-    -sum(g)/(sum(h) + l2_leaf) leaf values from per-sample gradients and
-    Hessians.
-    """
-
-    def __init__(self, kind, n_classes, learning_rate, prior_scores, trees=()):
-        self.kind = kind
-        self.n_classes = n_classes
-        self.learning_rate = learning_rate
-        self.prior_scores = np.asarray(prior_scores, dtype=np.float64)
-        self.trees = list(trees)          # list of rounds, each a list of C trees
-
-    def _scores(self, X):
-        scores = np.tile(self.prior_scores, (len(X), 1))
-        for round_trees in self.trees:
-            for c, tree in enumerate(round_trees):
-                scores[:, c] += self.learning_rate * _tree_apply(tree, X, 1)
-        return scores
-
-    def predict_proba(self, X):
-        return _softmax(self._scores(np.asarray(X, dtype=np.float64)))
-
-    def state(self):
-        return {"n_classes": self.n_classes,
-                "learning_rate": self.learning_rate,
-                "prior_scores": self.prior_scores.tolist(),
-                "trees": self.trees}
+def _forest_proba(state, X):
+    acc = np.zeros((len(X), state["n_classes"]))
+    for tree in state["trees"]:
+        acc += _tree_apply(tree, X, state["n_classes"])
+    return acc / len(state["trees"])
 
 
-def _train_boosting(X, labels, n_rounds, learning_rate, depth, kind, l2_leaf=None):
+def _train_boosting(X, labels, n_rounds, learning_rate, depth, l2_leaf=None):
     """Newton leaves when ``l2_leaf`` is given, first-order leaves otherwise."""
     X = np.asarray(X, dtype=np.float64)
     labels, C = _check_labels(labels)
     onehot = np.eye(C)[labels]
     prior = np.log(np.clip(onehot.mean(axis=0), PROB_CLIP, 1.0))
-    model = Boosting(kind, C, learning_rate, prior)
+    trees = []
     scores = np.tile(prior, (len(X), 1))
     all_rows = np.arange(len(X))
     scan = _presorted_split(X, _sse_gain, 1e-12)
@@ -280,47 +239,37 @@ def _train_boosting(X, labels, n_rounds, learning_rate, depth, kind, l2_leaf=Non
                               mean_leaf if l2_leaf is None else newton_leaf)
             round_trees.append(tree)
             scores[:, c] += learning_rate * _tree_apply(tree, X, 1)
-        model.trees.append(round_trees)
-    return model
+        trees.append(round_trees)
+    return {"n_classes": C, "learning_rate": learning_rate,
+            "prior_scores": prior.tolist(), "trees": trees}
 
 
 def train_gradient_boosting(X, labels, n_rounds=_HP["gb_rounds"],
                             learning_rate=_HP["gb_lr"],
-                            depth=_HP["gb_depth"]) -> Boosting:
-    return _train_boosting(X, labels, n_rounds, learning_rate, depth,
-                           "gradient_boosting")
+                            depth=_HP["gb_depth"]) -> dict:
+    """One-vs-all additive trees on softmax cross-entropy from log class
+    priors: each round fits, per class, a tree of mean-residual leaves to
+    ``onehot - p``. The state is ``{n_classes, learning_rate, prior_scores,
+    trees}``, ``trees`` a list of rounds of ``n_classes`` trees each."""
+    return _train_boosting(X, labels, n_rounds, learning_rate, depth)
 
 
 def train_regularized_boosting(X, labels, n_rounds=_HP["xgb_rounds"],
                                learning_rate=_HP["xgb_lr"],
                                depth=_HP["xgb_depth"],
-                               l2_leaf=_HP["xgb_l2"]) -> Boosting:
-    return _train_boosting(X, labels, n_rounds, learning_rate, depth,
-                           "regularized_boosting", l2_leaf)
+                               l2_leaf=_HP["xgb_l2"]) -> dict:
+    """``train_gradient_boosting`` with Newton leaves ``-sum(g)/(sum(h) +
+    l2_leaf)`` from per-sample gradients ``g = p - onehot`` and Hessians
+    ``h = p(1 - p)``; the state has the same keys."""
+    return _train_boosting(X, labels, n_rounds, learning_rate, depth, l2_leaf)
 
 
-class MLPClassifier:
-    """Single-hidden-layer softmax classifier trained with Adam on the
-    autodiff engine."""
-
-    kind = "feed_forward_net"
-
-    def __init__(self, n_classes, W1, b1, W2, b2):
-        self.n_classes = n_classes
-        self.W1, self.b1, self.W2, self.b2 = (np.asarray(a, dtype=np.float64)
-                                              for a in (W1, b1, W2, b2))
-
-    def _logits(self, X):
-        H = np.maximum(X @ self.W1 + self.b1, 0.0)
-        return H @ self.W2 + self.b2
-
-    def predict_proba(self, X):
-        return _softmax(self._logits(np.asarray(X, dtype=np.float64)))
-
-    def state(self):
-        return {"n_classes": self.n_classes,
-                "W1": self.W1.tolist(), "b1": self.b1.tolist(),
-                "W2": self.W2.tolist(), "b2": self.b2.tolist()}
+def _boosting_proba(state, X):
+    scores = np.tile(np.asarray(state["prior_scores"], dtype=np.float64), (len(X), 1))
+    for round_trees in state["trees"]:
+        for c, tree in enumerate(round_trees):
+            scores[:, c] += state["learning_rate"] * _tree_apply(tree, X, 1)
+    return _softmax(scores)
 
 
 def mlp_loss(params, X_arr, onehot):
@@ -337,7 +286,10 @@ def mlp_loss(params, X_arr, onehot):
 
 def train_mlp_classifier(X, labels, hidden=_HP["mlp_hidden"],
                          epochs=_HP["mlp_epochs"], lr=_HP["mlp_lr"],
-                         seed=0) -> MLPClassifier:
+                         seed=0) -> dict:
+    """Single-hidden-layer ReLU softmax classifier trained full-batch with
+    Adam on the autodiff engine. The state is ``{n_classes, W1, b1, W2, b2}``,
+    weights as lists of rows: d x hidden, 1 x hidden, hidden x C and 1 x C."""
     X = np.asarray(X, dtype=np.float64)
     labels, C = _check_labels(labels)
     onehot = np.eye(C)[labels]
@@ -355,20 +307,32 @@ def train_mlp_classifier(X, labels, hidden=_HP["mlp_hidden"],
         loss = mlp_loss(params, X, onehot)
         ad.backward(loss)
         ad.adam_step(opt)
-    return MLPClassifier(C, W1.values, b1.values, W2.values, b2.values)
+    return {"n_classes": C, "W1": W1.values.tolist(), "b1": b1.values.tolist(),
+            "W2": W2.values.tolist(), "b2": b2.values.tolist()}
+
+
+def _mlp_proba(state, X):
+    W1, b1, W2, b2 = (np.asarray(state[k], dtype=np.float64)
+                      for k in ("W1", "b1", "W2", "b2"))
+    H = np.maximum(X @ W1 + b1, 0.0)
+    return _softmax(H @ W2 + b2)
 
 
 # ---------------------------------------------------------------------------
 # soft-voting ensemble
 
 
-# each base learner's constructor, in mixing-weight order; the keys of a
-# learner's state in ensemble.json are its constructor's parameters
-_LEARNERS = {"random_forest": RandomForest,
-             "gradient_boosting": partial(Boosting, "gradient_boosting"),
-             "regularized_boosting": partial(Boosting, "regularized_boosting"),
-             "feed_forward_net": MLPClassifier}
-BASE_KINDS = tuple(_LEARNERS)
+# each base learner's prediction from its state, in mixing-weight order
+_PROBA = {"random_forest": _forest_proba,
+          "gradient_boosting": _boosting_proba,
+          "regularized_boosting": _boosting_proba,
+          "feed_forward_net": _mlp_proba}
+BASE_KINDS = tuple(_PROBA)
+
+
+def predict_base(kind, state, X) -> np.ndarray:
+    """Class probabilities on the rows of ``X`` of the base learner ``kind``."""
+    return _PROBA[kind](state, np.asarray(X, dtype=np.float64))
 
 
 def _simplex_grid(resolution):
@@ -412,7 +376,7 @@ def fit_ensemble_weights(base_probs, labels, resolution=20) -> np.ndarray:
 
 
 class EnsembleModel:
-    """Four fitted base classifiers plus simplex mixing weights."""
+    """The four fitted base learners' states, in BASE_KINDS order, and simplex weights."""
 
     def __init__(self, bases, weights, n_classes):
         if len(bases) != len(BASE_KINDS):
@@ -428,8 +392,8 @@ class EnsembleModel:
     def predict_proba(self, X):
         X = np.asarray(X, dtype=np.float64)
         out = np.zeros((len(X), self.n_classes))
-        for w, base in zip(self.weights, self.bases):
-            probs = base.predict_proba(X)
+        for w, kind, state in zip(self.weights, BASE_KINDS, self.bases):
+            probs = predict_base(kind, state, X)
             if probs.shape[1] != self.n_classes:
                 raise ValueError(
                     f"base classifier emitted {probs.shape[1]} columns, "
@@ -481,8 +445,8 @@ def fit_ensemble(X, labels, hyperparams=None, seed=0) -> EnsembleModel:
         tr = assign != fold
         te = ~tr
         bases = _train_bases(X[tr], labels[tr], hp, seed)
-        for k, base in enumerate(bases):
-            oof[k][te] = base.predict_proba(X[te])
+        for probs, kind, state in zip(oof, BASE_KINDS, bases):
+            probs[te] = predict_base(kind, state, X[te])
 
     weights = fit_ensemble_weights(oof, labels)
     bases = _train_bases(X, labels, hp, seed)
@@ -500,7 +464,7 @@ def save_ensemble(model: EnsembleModel, path: str) -> None:
         "format_version": ENSEMBLE_FORMAT_VERSION,
         "n_classes": model.n_classes,
         "weights": model.weights.tolist(),
-        "bases": {base.kind: base.state() for base in model.bases},
+        "bases": dict(zip(BASE_KINDS, model.bases)),
     }
     atomic_write_text(path, json.dumps(doc, sort_keys=True))
 
@@ -532,9 +496,16 @@ def _check_tree(tree, where, d, width):
                              f"{{feature, threshold, left, right}}")
 
 
+# the keys of each base learner's state, in BASE_KINDS order
+_BOOSTING_KEYS = {"n_classes", "learning_rate", "prior_scores", "trees"}
+_STATE_KEYS = {"random_forest": {"n_classes", "trees"},
+               "gradient_boosting": _BOOSTING_KEYS, "regularized_boosting": _BOOSTING_KEYS,
+               "feed_forward_net": {"n_classes", "W1", "b1", "W2", "b2"}}
+
+
 def _check_ensemble_doc(doc):
     """Raise a one-line ValueError for the first fault in a loaded
-    ensemble.json, so that a learner is only built from a consistent state."""
+    ensemble.json, so that only a consistent state is predicted from."""
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if type(version) is not int or version != ENSEMBLE_FORMAT_VERSION:
         raise ValueError(f"unsupported ensemble format {version}")
@@ -543,8 +514,7 @@ def _check_ensemble_doc(doc):
         raise ValueError(f"ensemble n_classes must be an integer >= 2, got {C!r}")
     bases = exact_keys(doc.get("bases"), BASE_KINDS,
                        f"ensemble bases must be exactly {list(BASE_KINDS)}")
-    for kind, learner in _LEARNERS.items():
-        keys = set(inspect.signature(learner).parameters)
+    for kind, keys in _STATE_KEYS.items():
         s = bases[kind]
         if not isinstance(s, dict) or set(s) != keys:
             raise ValueError(f"{kind} state keys must be {sorted(keys)}, got "
@@ -584,5 +554,5 @@ def _check_ensemble_doc(doc):
 def load_ensemble(path: str) -> EnsembleModel:
     doc = read_json(path)
     _check_ensemble_doc(doc)
-    bases = [_LEARNERS[kind](**doc["bases"][kind]) for kind in BASE_KINDS]
+    bases = [doc["bases"][kind] for kind in BASE_KINDS]
     return EnsembleModel(bases, doc["weights"], doc["n_classes"])

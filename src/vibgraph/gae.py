@@ -16,7 +16,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checks import atomic_write_text, exact_keys, numbers, read_json, write_json
+from .checks import (atomic_write_text, check_bounds, exact_keys, numbers, read_json,
+                     write_json)
 from .features import FEATURE_DIM
 from .graph import FaultGraph, Neighbors
 
@@ -24,6 +25,12 @@ LEAKY_SLOPE = 0.2       # negative slope of the GAT attention-score LeakyReLU
 SPLIT_KEYS = ("train_frac", "val_frac", "test_frac")   # config names of split_fractions
 GAT_PARAMS = ("W", "a_src", "a_dst")
 TR_PARAMS = ("Wq", "Wk", "Wv")
+# (setting, comparison, bound) of GaeConfig, a split fraction by its SPLIT_KEYS name
+_BOUNDS = [("input_dim", ">", 0), ("hidden_dim", ">", 0), ("latent_dim", ">", 0),
+           ("num_gat_layers", ">", 0), ("num_transformer_layers", ">", 0),
+           ("gat_heads", ">", 0), ("transformer_heads", ">", 0), ("learning_rate", ">", 0),
+           ("kl_weight", ">=", 0), ("epochs", ">=", 0), ("seed", ">=", 0),
+           ("train_frac", ">=", 0), ("val_frac", ">=", 0), ("test_frac", ">=", 0)]
 
 
 @dataclass
@@ -45,17 +52,13 @@ class GaeConfig:
 
     def validate(self):
         """Raise a one-line ValueError naming the first setting out of range:
-        sizes, counts and learning_rate > 0; kl_weight, epochs, seed and each
-        split fraction >= 0; split fractions summing to 1."""
-        for key in ("input_dim", "hidden_dim", "latent_dim", "num_gat_layers",
-                    "num_transformer_layers", "gat_heads", "transformer_heads",
-                    "learning_rate"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} must be > 0, got {getattr(self, key)!r}")
-        for key, value in [("kl_weight", self.kl_weight), ("epochs", self.epochs),
-                           ("seed", self.seed), *zip(SPLIT_KEYS, self.split_fractions)]:
-            if not value >= 0:
-                raise ValueError(f"{key} must be >= 0, got {value!r}")
+        three split fractions, then the _BOUNDS of each setting, then split
+        fractions summing to 1."""
+        if len(self.split_fractions) != len(SPLIT_KEYS):
+            raise ValueError(f"split_fractions must hold {len(SPLIT_KEYS)} numbers, "
+                             f"got {self.split_fractions!r}")
+        check_bounds(dict(vars(self), **dict(zip(SPLIT_KEYS, self.split_fractions))),
+                     _BOUNDS)
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ValueError("split fractions must sum to 1")
         return self

@@ -6,7 +6,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 import os
 import re
 import tomllib
@@ -18,8 +17,9 @@ from . import gae, stats
 from .data import (DEFAULT_BLOCK, DEFAULT_N_CLASSES, DEFAULT_REDUCER,
                    DEFAULT_SAMPLING_RATE, REDUCERS, assemble_dataset,
                    load_recordings, read_manifest)
-from .checks import atomic_write_text, is_finite_number, numbers, read_json, write_json
-from .ensemble import (DEFAULT_HYPERPARAMS, EnsembleModel, check_hyperparams,
+from .checks import (atomic_write_text, check_bounds, is_finite_number, numbers, read_json,
+                     write_json)
+from .ensemble import (BASE_KINDS, DEFAULT_HYPERPARAMS, EnsembleModel, check_hyperparams,
                        fit_ensemble, load_ensemble, save_ensemble)
 from .features import MinMaxScaler, feature_matrix, minmax_normalize
 from .gae import SPLIT_KEYS, GaeConfig, TrainedGAE
@@ -104,7 +104,6 @@ _BOUNDS = [("theta_percentile", ">", 0), ("theta_percentile", "<=", 100),
            ("pair_budget", ">=", 1), ("entropy_step", ">=", 1), ("stride", ">=", 0),
            ("bin_count", ">=", 0), ("block_size", ">=", 1), ("n_classes", ">=", 2),
            ("sampling_rate", ">", 0)]
-_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 def _check_settings(cfg):
@@ -114,16 +113,15 @@ def _check_settings(cfg):
     for key, value in cfg.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value!r}")
-    for key, op, bound in _BOUNDS:
-        if not _COMPARE[op](cfg[key], bound):
-            raise ConfigError(f"{key} must be {op} {bound}, got {cfg[key]!r}")
-    windows = cfg["candidate_windows"]
-    if not windows or not all(type(w) is int and w >= 2 for w in windows):
-        raise ConfigError(
-            f"candidate_windows must be a non-empty list of integers >= 2, got {windows!r}")
-    if cfg["reducer"] not in REDUCERS:
-        raise ConfigError(f"reducer must be one of {sorted(REDUCERS)}, got {cfg['reducer']!r}")
     try:
+        check_bounds(cfg, _BOUNDS)
+        windows = cfg["candidate_windows"]
+        if not windows or not all(type(w) is int and w >= 2 for w in windows):
+            raise ValueError("candidate_windows must be a non-empty list of integers "
+                             f">= 2, got {windows!r}")
+        if cfg["reducer"] not in REDUCERS:
+            raise ValueError(f"reducer must be one of {sorted(REDUCERS)}, "
+                             f"got {cfg['reducer']!r}")
         gae_config_from(cfg)
         check_hyperparams({k: cfg[k] for k in DEFAULT_HYPERPARAMS})
     except ValueError as exc:
@@ -279,8 +277,15 @@ def _scaler(doc, whose, width) -> MinMaxScaler:
 
 
 def load_model_dir(model_dir: str):
+    """The model, ensemble and train report a model directory holds; an
+    ensemble fitted on embeddings of another width than the model's H2 is
+    refused."""
     model = gae.load_model(os.path.join(model_dir, MODEL_FILE))
     ens = load_ensemble(os.path.join(model_dir, ENSEMBLE_FILE))
+    width = len(ens.bases[BASE_KINDS.index("feed_forward_net")]["W1"])
+    if width != model.config.hidden_dim:
+        raise ValueError(f"{model_dir}: {ENSEMBLE_FILE} takes {width}-wide embeddings, "
+                         f"but {MODEL_FILE} has hidden_dim {model.config.hidden_dim}")
     path = os.path.join(model_dir, TRAIN_REPORT_FILE)
     report = read_json(path)
     if not isinstance(report, dict):

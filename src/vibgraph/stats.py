@@ -13,7 +13,6 @@ EXACT_WILCOXON_MAX_N = 12
 
 @dataclass
 class TestResult:
-    kind: str
     statistic: float
     p_value: float
     significant_at_0_05: bool
@@ -111,8 +110,7 @@ def paired_ttest(sample_a, sample_b) -> TestResult:
         tail = _t_tail(t, n - 1)
     p = 2.0 * tail
     p_greater = tail if t >= 0 else 1.0 - tail
-    return TestResult(kind="paired_t", statistic=float(t), p_value=p,
-                      significant_at_0_05=p < 0.05,
+    return TestResult(statistic=float(t), p_value=p, significant_at_0_05=p < 0.05,
                       extra={"mean_difference": float(d.mean()), "df": n - 1,
                              "p_value_one_sided": p_greater})
 
@@ -174,8 +172,7 @@ def wilcoxon_signed_rank(sample_a, sample_b) -> TestResult:
         from scipy import stats as sps
         p = float(min(1.0, 2.0 * sps.norm.cdf(z)))
         method = "normal_approx"
-    return TestResult(kind="wilcoxon_signed_rank", statistic=float(w),
-                      p_value=p, significant_at_0_05=bool(p < 0.05),
+    return TestResult(statistic=float(w), p_value=p, significant_at_0_05=bool(p < 0.05),
                       extra={"w_plus": w_plus, "w_minus": w_minus, "n": n,
                              "method": method})
 

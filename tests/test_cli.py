@@ -98,6 +98,16 @@ class TestBuildGraph:
         scores = built["graph"].rsplit(".", 1)[0] + "_window_scores.csv"
         assert "window,normalized_entropy" in open(scores).read()
 
+    def test_scores_stay_beside_a_graph_in_a_dotted_directory(self, workspace, tmp_path,
+                                                              monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "runs.v1").mkdir()
+        rc = cli.main(["build-graph", "--config", workspace["config"],
+                       "--load", "a", "--out", "runs.v1/graph"])
+        assert rc == 0
+        assert sorted(os.listdir(tmp_path)) == ["runs.v1"]
+        assert sorted(os.listdir(tmp_path / "runs.v1")) == ["graph", "graph_window_scores.csv"]
+
     def test_unknown_load_is_validation_error(self, workspace, capsys):
         rc = cli.main(["build-graph", "--config", workspace["config"],
                        "--load", "nope", "--out", "/tmp/x.json"])
@@ -460,6 +470,23 @@ class TestModelFile:
         err = capsys.readouterr().err
         assert rc == cli.EXIT_VALIDATION
         assert err == f"error: {message}\n"
+
+    def test_ensemble_of_another_width_is_validation_error(self, workspace, built,
+                                                           tmp_path, capsys):
+        config = tmp_path / "wide.toml"
+        config.write_text(config_text(workspace["data_dir"], "hidden_dim = 16"))
+        wide = tmp_path / "wide"
+        assert cli.main(["train", "--config", str(config), "--graph", built["graph"],
+                         "--out", str(wide)]) == 0
+        model = tmp_path / "model"
+        shutil.copytree(built["model"], model)
+        shutil.copy(wide / "ensemble.json", model / "ensemble.json")
+        rc = cli.main(["evaluate", "--config", workspace["config"],
+                       "--model", str(model), "--graph", built["graph"],
+                       "--out", str(tmp_path / "report.json")])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (f"error: {model}: ensemble.json takes 16-wide "
+                                           "embeddings, but model.json has hidden_dim 8\n")
 
 
 @pytest.mark.parametrize("text", ["[" * 100000, "{"], ids=["deeply_nested", "truncated"])

@@ -216,12 +216,12 @@ class TestTreeStatesPinned:
 
     @staticmethod
     def state_hashes(X, y, seed):
-        models = [en.train_random_forest(X, y, n_trees=20, seed=seed),
+        states = [en.train_random_forest(X, y, n_trees=20, seed=seed),
                   en.train_gradient_boosting(X, y, n_rounds=8),
                   en.train_regularized_boosting(X, y, n_rounds=8)]
-        return {m.kind: hashlib.sha256(
-                    json.dumps(m.state(), sort_keys=True).encode()).hexdigest()
-                for m in models}
+        return {kind: hashlib.sha256(
+                    json.dumps(state, sort_keys=True).encode()).hexdigest()
+                for kind, state in zip(en.BASE_KINDS, states)}
 
     def test_states_unchanged(self):
         rng = np.random.default_rng(1)
@@ -239,20 +239,20 @@ class TestTreeStatesPinned:
 class TestRandomForest:
     def test_separable_data_high_accuracy(self):
         X, y = blobs()
-        model = en.train_random_forest(X, y, n_trees=30, max_depth=6)
-        assert (model.predict_proba(X).argmax(1) == y).mean() > 0.95
+        state = en.train_random_forest(X, y, n_trees=30, max_depth=6)
+        assert (en.predict_base("random_forest", state, X).argmax(1) == y).mean() > 0.95
 
     def test_probabilities_valid(self):
         X, y = blobs(seed=3)
-        model = en.train_random_forest(X, y, n_trees=10)
-        P = model.predict_proba(X)
+        state = en.train_random_forest(X, y, n_trees=10)
+        P = en.predict_base("random_forest", state, X)
         assert (P >= 0).all()
         np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
 
     def test_deterministic_given_seed(self):
         X, y = blobs(seed=4)
-        a = en.train_random_forest(X, y, n_trees=5, seed=7).predict_proba(X)
-        b = en.train_random_forest(X, y, n_trees=5, seed=7).predict_proba(X)
+        a = en.predict_base("random_forest", en.train_random_forest(X, y, n_trees=5, seed=7), X)
+        b = en.predict_base("random_forest", en.train_random_forest(X, y, n_trees=5, seed=7), X)
         np.testing.assert_array_equal(a, b)
 
     def test_single_class_rejected(self):
@@ -263,37 +263,40 @@ class TestRandomForest:
 class TestBoosting:
     def test_prior_is_log_class_frequency(self):
         X, y = blobs(n_per=20, seed=5)
-        model = en.train_gradient_boosting(X, y, n_rounds=1)
-        np.testing.assert_allclose(model.prior_scores, np.log(np.full(3, 1 / 3)))
+        state = en.train_gradient_boosting(X, y, n_rounds=1)
+        np.testing.assert_allclose(state["prior_scores"], np.log(np.full(3, 1 / 3)))
 
     def test_training_reduces_cross_entropy(self):
         X, y = blobs(seed=6)
         few = en.train_gradient_boosting(X, y, n_rounds=2)
         many = en.train_gradient_boosting(X, y, n_rounds=40)
-        assert en.cross_entropy(many.predict_proba(X), y) \
-            < en.cross_entropy(few.predict_proba(X), y)
+        assert en.cross_entropy(en.predict_base("gradient_boosting", many, X), y) \
+            < en.cross_entropy(en.predict_base("gradient_boosting", few, X), y)
 
     def test_newton_mode_also_learns(self):
         X, y = blobs(seed=7)
-        model = en.train_regularized_boosting(X, y, n_rounds=40)
-        assert (model.predict_proba(X).argmax(1) == y).mean() > 0.95
+        state = en.train_regularized_boosting(X, y, n_rounds=40)
+        probs = en.predict_base("regularized_boosting", state, X)
+        assert (probs.argmax(1) == y).mean() > 0.95
 
     def test_l2_shrinks_leaf_values(self):
         # a heavily regularized model stays closer to the prior
         X, y = blobs(n_per=10, seed=8)
         soft = en.train_regularized_boosting(X, y, n_rounds=5, l2_leaf=1000.0)
         hard = en.train_regularized_boosting(X, y, n_rounds=5, l2_leaf=0.001)
-        prior_probs = en._softmax(np.tile(soft.prior_scores, (len(X), 1)))
-        dev_soft = np.abs(soft.predict_proba(X) - prior_probs).max()
-        dev_hard = np.abs(hard.predict_proba(X) - prior_probs).max()
+        prior_probs = en._softmax(np.tile(soft["prior_scores"], (len(X), 1)))
+        dev_soft = np.abs(en.predict_base("regularized_boosting", soft, X)
+                          - prior_probs).max()
+        dev_hard = np.abs(en.predict_base("regularized_boosting", hard, X)
+                          - prior_probs).max()
         assert dev_soft < dev_hard
 
 
 class TestMlp:
     def test_learns_separable_data(self):
         X, y = blobs(seed=9)
-        model = en.train_mlp_classifier(X, y, hidden=16, epochs=150)
-        assert (model.predict_proba(X).argmax(1) == y).mean() > 0.95
+        state = en.train_mlp_classifier(X, y, hidden=16, epochs=150)
+        assert (en.predict_base("feed_forward_net", state, X).argmax(1) == y).mean() > 0.95
 
     def test_loss_gradient_matches_finite_differences(self):
         from gradcheck import grad_check
@@ -362,7 +365,7 @@ class TestFitWeights:
 
 class TestEnsembleModel:
     def test_weights_validated(self):
-        bases = [en.RandomForest(n_classes=2)] * 4
+        bases = [{"n_classes": 2, "trees": []}] * 4
         with pytest.raises(ValueError):
             en.EnsembleModel(bases, [0.5, 0.5, 0.5, -0.5], 2)
         with pytest.raises(ValueError):
@@ -374,10 +377,14 @@ class TestEnsembleModel:
               "mlp_epochs": 50, "cv_folds": 3}
         model = en.fit_ensemble(X, y, hp, seed=0)
         assert (model.predict(X) == y).mean() > 0.9
+        # each base is the state its train_* function returned: JSON as it stands
+        for state in model.bases:
+            assert json.loads(json.dumps(state)) == state
 
         path = tmp_path / "ens.json"
         en.save_ensemble(model, str(path))
         loaded = en.load_ensemble(str(path))
+        assert loaded.bases == model.bases
         np.testing.assert_array_equal(loaded.weights, model.weights)
         np.testing.assert_allclose(loaded.predict_proba(X),
                                    model.predict_proba(X), atol=1e-12)

@@ -204,7 +204,7 @@ def test_load_ensemble_returns_a_model_or_raises_value_error(data):
     else:
         mlp = model.bases[en.BASE_KINDS.index("feed_forward_net")]
         with np.errstate(all="ignore"):
-            probs = model.predict_proba(np.zeros((2, mlp.W1.shape[0])))
+            probs = model.predict_proba(np.zeros((2, len(mlp["W1"]))))
         assert probs.shape == (2, model.n_classes)
     finally:
         os.unlink(path)

@@ -158,6 +158,8 @@ class TestConfig:
         (dict(learning_rate=0.0), "learning_rate must be > 0, got 0.0"),
         (dict(epochs=-1), "epochs must be >= 0, got -1"),
         (dict(split_fractions=(1.2, -0.1, -0.1)), "val_frac must be >= 0, got -0.1"),
+        (dict(split_fractions=(0.5, 0.5)), "split_fractions must hold 3 numbers, "
+                                           "got (0.5, 0.5)"),
     ])
     def test_out_of_range_named(self, setting, message):
         with pytest.raises(ValueError) as exc:
