@@ -14,17 +14,17 @@ model_b = np.array([0.84, 0.86, 0.93, 1.00, 1.00, 0.97, 0.98, 1.00, 0.82, 1.00])
 
 t = stats.paired_ttest(model_a, model_b)
 print("paired t-test")
-print(f"  mean difference: {t.extra['mean_difference']:.4f}")
-print(f"  t = {t.statistic:.4f}, df = {t.extra['df']}")
-print(f"  two-sided p = {t.p_value:.4f}, "
-      f"one-sided p = {t.extra['p_value_one_sided']:.4f}")
+print(f"  mean difference: {t['mean_difference']:.4f}")
+print(f"  t = {t['t_statistic']:.4f}, df = {t['df']}")
+print(f"  two-sided p = {t['p_value']:.4f}, "
+      f"one-sided p = {t['p_value_one_sided']:.4f}")
 
 w = stats.wilcoxon_signed_rank(model_a, model_b)
 print("\nWilcoxon signed-rank test")
-print(f"  W = min(W+, W-) = {w.statistic:.1f} "
-      f"(W+ = {w.extra['w_plus']:.1f}, W- = {w.extra['w_minus']:.1f})")
-print(f"  {w.extra['method']} p = {w.p_value:.4f}, "
-      f"n = {w.extra['n']} nonzero differences")
+print(f"  W = min(W+, W-) = {w['W']:.1f} "
+      f"(W+ = {w['w_plus']:.1f}, W- = {w['w_minus']:.1f})")
+print(f"  {w['method']} p = {w['p_value']:.4f}, "
+      f"n = {w['n']} nonzero differences")
 
 print("\nsummary over repeated runs")
 runs = [model_a, model_a - 0.005, model_a + 0.002]

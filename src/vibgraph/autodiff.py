@@ -23,7 +23,7 @@ class DomainError(ValueError):
 class Tensor:
     """Dense 2-D float64 matrix with optional gradient tracking."""
 
-    __slots__ = ("values", "requires_grad", "grad", "_parents", "_vjp", "_op")
+    __slots__ = ("values", "requires_grad", "grad", "_parents", "_vjp")
 
     def __init__(self, values, requires_grad=False):
         arr = np.asarray(values, dtype=np.float64)
@@ -36,7 +36,6 @@ class Tensor:
         self.grad = None
         self._parents = ()   # the op's input Tensors; _CONSUMED once walked
         self._vjp = None     # g -> one gradient per input, in input order
-        self._op = "leaf"
 
     @property
     def shape(self):
@@ -48,7 +47,7 @@ class Tensor:
         return float(self.values[0, 0])
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 class Tape:
@@ -77,7 +76,6 @@ def _make(kind, values, inputs, vjp):
     out = Tensor(values)
     if any(p.requires_grad or p._parents for p in inputs):
         out._parents, out._vjp = inputs, vjp
-    out._op = kind
     if _ACTIVE_TAPE is not None:
         _ACTIVE_TAPE.ops.append((kind, inputs, out))
     return out
@@ -163,10 +161,15 @@ def square(a: Tensor) -> Tensor:
     return _make("square", a.values ** 2, (a,), lambda g: (g * 2.0 * a.values,))
 
 
-def row_softmax(a: Tensor) -> Tensor:
-    z = a.values - a.values.max(axis=1, keepdims=True)
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax of each row of a plain array, shifted by the row's maximum."""
+    z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def row_softmax(a: Tensor) -> Tensor:
+    s = softmax(a.values)
     return _make("row_softmax", s, (a,),
                  lambda g: (s * (g - (g * s).sum(axis=1, keepdims=True)),))
 

@@ -22,6 +22,7 @@ from .checks import (atomic_write_text, check_bounds, exact_keys, is_finite_numb
 ENSEMBLE_FORMAT_VERSION = 1
 
 PROB_CLIP = 1e-12
+WEIGHT_GRID_RESOLUTION = 20     # fit_ensemble_weights' simplex grid steps by 1/20
 
 
 def cross_entropy(probs, labels) -> float:
@@ -38,12 +39,6 @@ def _check_labels(labels):
     if len(classes) < 2:
         raise ValueError("training requires at least 2 classes")
     return labels, int(labels.max()) + 1
-
-
-def _softmax(z):
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +217,7 @@ def _train_boosting(X, labels, n_rounds, learning_rate, depth, l2_leaf=None):
     all_rows = np.arange(len(X))
     scan = _presorted_split(X, _sse_gain, 1e-12)
     for _ in range(n_rounds):
-        p = _softmax(scores)
+        p = ad.softmax(scores)
         round_trees = []
         for c in range(C):
             residual = onehot[:, c] - p[:, c]       # negative gradient
@@ -269,7 +264,7 @@ def _boosting_proba(state, X):
     for round_trees in state["trees"]:
         for c, tree in enumerate(round_trees):
             scores[:, c] += state["learning_rate"] * _tree_apply(tree, X, 1)
-    return _softmax(scores)
+    return ad.softmax(scores)
 
 
 def mlp_loss(params, X_arr, onehot):
@@ -315,7 +310,7 @@ def _mlp_proba(state, X):
     W1, b1, W2, b2 = (np.asarray(state[k], dtype=np.float64)
                       for k in ("W1", "b1", "W2", "b2"))
     H = np.maximum(X @ W1 + b1, 0.0)
-    return _softmax(H @ W2 + b2)
+    return ad.softmax(H @ W2 + b2)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +347,7 @@ def _weight_entropy(w):
     return float(-(p * np.log(p)).sum())
 
 
-def fit_ensemble_weights(base_probs, labels, resolution=20) -> np.ndarray:
+def fit_ensemble_weights(base_probs, labels) -> np.ndarray:
     """Grid search on the 4-simplex minimizing out-of-fold cross-entropy.
 
     ``base_probs`` is a sequence of four n x C out-of-fold probability
@@ -366,7 +361,7 @@ def fit_ensemble_weights(base_probs, labels, resolution=20) -> np.ndarray:
     n = stack.shape[1]
     p_true = np.clip(stack[:, np.arange(n), labels], PROB_CLIP, 1.0)  # 4 x n
 
-    grid = _simplex_grid(resolution)
+    grid = _simplex_grid(WEIGHT_GRID_RESOLUTION)
     mixed = np.clip(grid @ p_true, PROB_CLIP, 1.0)     # grid x n
     ce = -np.log(mixed).mean(axis=1)
     lo = ce.min()

@@ -81,35 +81,25 @@ def feature_matrix(values, bin_count: int | None = None) -> np.ndarray:
                             *temporal_features(values), *psd_top3(values)))
 
 
-class MinMaxScaler:
-    """Per-column min-max scaling to [0, 1]; constant columns map to 0.5."""
-
-    def __init__(self, col_min, col_max):
-        self.col_min = np.asarray(col_min, dtype=np.float64)
-        self.col_max = np.asarray(col_max, dtype=np.float64)
-
-    @classmethod
-    def fit(cls, matrix) -> "MinMaxScaler":
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.size == 0:
-            raise ValueError("cannot fit scaler on empty matrix")
-        return cls(matrix.min(axis=0), matrix.max(axis=0))
-
-    def transform(self, matrix) -> np.ndarray:
-        matrix = np.asarray(matrix, dtype=np.float64)
-        span = self.col_max - self.col_min
-        out = np.empty_like(matrix)
-        const = span == 0
-        out[:, const] = 0.5
-        out[:, ~const] = (matrix[:, ~const] - self.col_min[~const]) / span[~const]
-        return out
-
-    def to_dict(self):
-        """The constructor's arguments, as JSON lists."""
-        return {"col_min": self.col_min.tolist(), "col_max": self.col_max.tolist()}
+def minmax_scale(matrix, col_min, col_max) -> np.ndarray:
+    """Map each column to (x - col_min) / (col_max - col_min); a constant
+    column (col_max == col_min) maps to 0.5."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    col_min, col_max = np.asarray(col_min, np.float64), np.asarray(col_max, np.float64)
+    span = col_max - col_min
+    out = np.empty_like(matrix)
+    const = span == 0
+    out[:, const] = 0.5
+    out[:, ~const] = (matrix[:, ~const] - col_min[~const]) / span[~const]
+    return out
 
 
-def minmax_normalize(matrix) -> tuple[np.ndarray, MinMaxScaler]:
-    """Scale each column to [0, 1] and return the scaler for held-out reuse."""
-    scaler = MinMaxScaler.fit(matrix)
-    return scaler.transform(matrix), scaler
+def minmax_normalize(matrix) -> tuple[np.ndarray, dict]:
+    """Scale each column to [0, 1]; also return the scaler, the JSON object
+    ``{"col_min": [...], "col_max": [...]}`` held-out data is scaled by."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.size == 0:
+        raise ValueError("cannot fit scaler on empty matrix")
+    col_min, col_max = matrix.min(axis=0), matrix.max(axis=0)
+    return (minmax_scale(matrix, col_min, col_max),
+            {"col_min": col_min.tolist(), "col_max": col_max.tolist()})

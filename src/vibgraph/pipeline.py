@@ -21,7 +21,7 @@ from .checks import (atomic_write_text, check_bounds, is_finite_number, numbers,
                      write_json)
 from .ensemble import (BASE_KINDS, DEFAULT_HYPERPARAMS, EnsembleModel, check_hyperparams,
                        fit_ensemble, load_ensemble, save_ensemble)
-from .features import MinMaxScaler, feature_matrix, minmax_normalize
+from .features import feature_matrix, minmax_normalize, minmax_scale
 from .gae import SPLIT_KEYS, GaeConfig, TrainedGAE
 from .graph import (DEFAULT_PAIR_BUDGET, FaultGraph, build_graph, check_pair_budget,
                     load_graph, pairwise_distances, save_graph, threshold_from_percentile)
@@ -189,7 +189,7 @@ def build_graph_from_series(series: TimeSeries, cfg: dict):
         "step": step,
         "theta_percentile": cfg["theta_percentile"],
         "source_id": series.source_id,
-        "scaler": scaler.to_dict(),
+        "scaler": scaler,
         "segments": values.tolist(),
         "segment_starts": starts.tolist(),
         "config_hash": config_hash(cfg),
@@ -263,9 +263,9 @@ def save_model_dir(out_dir: str, model: TrainedGAE, ens: EnsembleModel,
     write_json(os.path.join(out_dir, TRAIN_REPORT_FILE), report)
 
 
-def _scaler(doc, whose, width) -> MinMaxScaler:
-    """The scaler a JSON object describes, checked: ``col_min`` and ``col_max``
-    are two lists of ``width`` finite numbers."""
+def _scaler(doc, whose, width):
+    """The checked ``(col_min, col_max)`` arrays of the scaler a JSON object
+    describes: ``width`` finite numbers each, no ``col_min`` above its ``col_max``."""
     doc = doc if isinstance(doc, dict) else {}
     col_min, col_max = numbers(
         [doc.get("col_min"), doc.get("col_max")], f"{whose} scaler must hold col_min and "
@@ -273,7 +273,12 @@ def _scaler(doc, whose, width) -> MinMaxScaler:
     if len(col_min) != width:
         raise ValueError(f"{whose} scaler has {len(col_min)} columns, but the graph has "
                          f"{width} feature columns")
-    return MinMaxScaler(col_min, col_max)
+    swapped = np.flatnonzero(col_min > col_max)
+    if swapped.size:
+        k = swapped[0]
+        raise ValueError(f"{whose} scaler column {k} has col_min {col_min[k]} > col_max "
+                         f"{col_max[k]}")
+    return col_min, col_max
 
 
 def load_model_dir(model_dir: str):
@@ -303,15 +308,15 @@ def _renormalized_features(graph: FaultGraph, train_scaler: dict) -> np.ndarray:
     """
     own = graph.meta.get("scaler")
     width = graph.node_features.shape[1]
-    own_scaler = _scaler(own, "graph", width)
+    own_min, own_max = _scaler(own, "graph", width)
     train = _scaler(train_scaler, "training", width)
     if own == train_scaler:
         return graph.node_features
-    span = own_scaler.col_max - own_scaler.col_min
-    raw = graph.node_features * span + own_scaler.col_min
+    span = own_max - own_min
+    raw = graph.node_features * span + own_min
     const = span == 0
-    raw[:, const] = own_scaler.col_min[const]
-    return train.transform(raw)
+    raw[:, const] = own_min[const]
+    return minmax_scale(raw, *train)
 
 
 def evaluate_on_graph(model: TrainedGAE, ens: EnsembleModel,
@@ -390,13 +395,8 @@ def cross_eval(cfg: dict, out_dir: str, loads: list[str] | None = None) -> dict:
         mean, std = stats.f1_summary(per_test_f1)
         summary["f1_summary"][train_tag] = {"mean": mean, "std": std}
 
-    for i, a in enumerate(tags):
-        for b in tags[i + 1:]:
-            t = stats.paired_ttest(f1_vectors[a], f1_vectors[b])
-            summary["paired_tests"][f"{a} vs {b}"] = {
-                "t_statistic": t.statistic, "p_value": t.p_value,
-                "significant_at_0_05": t.significant_at_0_05,
-                "mean_difference": t.extra["mean_difference"]}
+    summary["paired_tests"] = {f"{a} vs {b}": stats.paired_ttest(f1_vectors[a], f1_vectors[b])
+                               for i, a in enumerate(tags) for b in tags[i + 1:]}
 
     write_json(os.path.join(out_dir, "summary.json"), summary)
     atomic_write_text(os.path.join(out_dir, "summary.md"),

@@ -3,20 +3,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
 EXACT_WILCOXON_MAX_N = 12
-
-
-@dataclass
-class TestResult:
-    statistic: float
-    p_value: float
-    significant_at_0_05: bool
-    extra: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +80,9 @@ def _t_tail(t, df):
     return float(sps.t.sf(abs(t), df))
 
 
-def paired_ttest(sample_a, sample_b) -> TestResult:
-    """Paired t-test on the differences a - b, sample sd (n-1), two-sided."""
+def paired_ttest(sample_a, sample_b) -> dict:
+    """Paired t-test on a - b, sample sd (n-1), as the JSON object ``compare``
+    writes: t, the two-sided p and the one-sided p for mean(a - b) > 0."""
     a = np.asarray(sample_a, dtype=np.float64)
     b = np.asarray(sample_b, dtype=np.float64)
     if len(a) != len(b):
@@ -110,9 +101,9 @@ def paired_ttest(sample_a, sample_b) -> TestResult:
         tail = _t_tail(t, n - 1)
     p = 2.0 * tail
     p_greater = tail if t >= 0 else 1.0 - tail
-    return TestResult(statistic=float(t), p_value=p, significant_at_0_05=p < 0.05,
-                      extra={"mean_difference": float(d.mean()), "df": n - 1,
-                             "p_value_one_sided": p_greater})
+    return {"t_statistic": float(t), "p_value": p, "significant_at_0_05": p < 0.05,
+            "mean_difference": float(d.mean()), "df": n - 1,
+            "p_value_one_sided": p_greater}
 
 
 def _signed_rank_parts(d):
@@ -146,8 +137,8 @@ def _exact_signed_rank_p(ranks, w_obs):
     return float(min(1.0, p))
 
 
-def wilcoxon_signed_rank(sample_a, sample_b) -> TestResult:
-    """Wilcoxon signed-rank test, W = min(W+, W-), two-sided.
+def wilcoxon_signed_rank(sample_a, sample_b) -> dict:
+    """Two-sided Wilcoxon signed-rank test, W = min(W+, W-), as a JSON object.
 
     Zero differences are dropped; |d| ties get mean ranks. Exact p by the
     rank-sum distribution for effective n <= 12, otherwise a normal
@@ -172,9 +163,8 @@ def wilcoxon_signed_rank(sample_a, sample_b) -> TestResult:
         from scipy import stats as sps
         p = float(min(1.0, 2.0 * sps.norm.cdf(z)))
         method = "normal_approx"
-    return TestResult(statistic=float(w), p_value=p, significant_at_0_05=bool(p < 0.05),
-                      extra={"w_plus": w_plus, "w_minus": w_minus, "n": n,
-                             "method": method})
+    return {"W": float(w), "p_value": p, "significant_at_0_05": bool(p < 0.05),
+            "w_plus": w_plus, "w_minus": w_minus, "n": n, "method": method}
 
 
 def f1_summary(per_run_f1_vectors):
@@ -191,9 +181,9 @@ def f1_summary(per_run_f1_vectors):
 # markdown report rendering
 
 
-def render_markdown_report(reports, title="Cross-dataset evaluation") -> str:
+def render_markdown_report(reports) -> str:
     """Text rendering of per-class P/R/F1 grids, one block per train->test pair."""
-    lines = [f"# {title}", ""]
+    lines = ["# Cross-dataset evaluation", ""]
     for rep in reports:
         lines.append(f"## train {rep['train_source']} -> test {rep['test_source']}")
         lines.append("")

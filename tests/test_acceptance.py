@@ -54,7 +54,7 @@ def _t_band(a, b, mean_diff, rng):
 
     A, B = draw(a), draw(b)
     keep = np.abs((A - B).mean(axis=1) - mean_diff) < MEAN_DIFF_HALF_WIDTH
-    ts = [stats.paired_ttest(x, y).statistic for x, y in zip(A[keep], B[keep])]
+    ts = [stats.paired_ttest(x, y)["t_statistic"] for x, y in zip(A[keep], B[keep])]
     return np.percentile(ts, [2.5, 97.5])
 
 
@@ -75,19 +75,19 @@ def test_criterion_01_paired_t_reproduction():
         b = f1[name]
         r = stats.paired_ttest(a, b)
         pub = PUBLISHED_PAIRED_T[name]
-        diff = r.extra["mean_difference"]
+        diff = r["mean_difference"]
         if abs(diff - pub["mean_diff"]) > MEAN_DIFF_HALF_WIDTH:
             problems.append(f"{name} mean diff={diff:.4f} "
                             f"vs {pub['mean_diff']}")
-        if abs(r.extra["p_value_one_sided"] - pub["p"]) > 0.005:
-            problems.append(f"{name} p={r.extra['p_value_one_sided']:.4f} "
+        if abs(r["p_value_one_sided"] - pub["p"]) > 0.005:
+            problems.append(f"{name} p={r['p_value_one_sided']:.4f} "
                             f"vs {pub['p']}")
         lo, hi = _t_band(a, b, pub["mean_diff"], rng)
         bands.append(f"{name} t={pub['t']} in [{lo:.3f}, {hi:.3f}]")
         if not lo <= pub["t"] <= hi:
             problems.append(f"{name} t={pub['t']} outside "
                             f"[{lo:.3f}, {hi:.3f}] "
-                            f"(rounded table gives {r.statistic:.4f})")
+                            f"(rounded table gives {r['t_statistic']:.4f})")
     elapsed = time.perf_counter() - t0
     if elapsed >= 1.0:
         problems.append(f"runtime {elapsed:.2f}s")
@@ -361,7 +361,7 @@ def test_criterion_11_wilcoxon_exactness():
                     if sum(r for r, s in zip(ranks, signs) if s)
                     <= w_obs + 1e-9)
         expect = min(1.0, 2.0 * count / 2 ** len(nz))
-        if abs(got.p_value - expect) > 1e-12:
+        if abs(got["p_value"] - expect) > 1e-12:
             mismatches += 1
     _verdict(11, mismatches == 0,
              "exact signed-rank p equals full 2^n enumeration",

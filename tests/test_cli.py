@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vibgraph import cli, gae, graph as graph_mod, pipeline, synthetic
+from vibgraph import cli, gae, graph as graph_mod, pipeline, stats, synthetic
+from vibgraph.checks import json_text
 
 FAST_CONFIG = """
 candidate_windows = [8, 16]
@@ -328,6 +329,27 @@ class TestEvaluate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("whose", ["training", "graph"])
+    def test_swapped_scaler_is_validation_error(self, workspace, built, tmp_path, capsys,
+                                                whose):
+        model = tmp_path / "model"
+        shutil.copytree(built["model"], model)
+        graph = tmp_path / "graph.json"
+        shutil.copy(built["graph"], graph)
+        path = model / "train_report.json" if whose == "training" else graph
+        doc = json.loads(path.read_text())
+        scaler = doc["scaler"] if whose == "training" else doc["meta"]["scaler"]
+        lo, hi = scaler["col_min"], scaler["col_max"]
+        scaler["col_min"], scaler["col_max"] = hi, lo
+        path.write_text(json.dumps(doc))
+        k = next(i for i in range(len(lo)) if lo[i] < hi[i])
+        rc = cli.main(["evaluate", "--config", workspace["config"], "--model", str(model),
+                       "--graph", str(graph), "--out", str(tmp_path / "report.json")])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (f"error: {whose} scaler column {k} has col_min "
+                                           f"{hi[k]} > col_max {lo[k]}\n")
+        assert not (tmp_path / "report.json").exists()
+
     def test_narrow_graph_scaler_is_validation_error(self, workspace, built,
                                                      tmp_path, capsys):
         doc = json.load(open(built["graph"]))
@@ -568,6 +590,24 @@ class TestCompare:
         doc = json.load(open(out))
         assert doc["paired_t"]["t_statistic"] > 0
         assert doc["wilcoxon"]["method"] == "exact"
+
+    def test_file_holds_both_test_results(self, tmp_path, capsys):
+        fa, fb = [0.99, 0.97, 1.0, 0.95, 0.98], [0.9, 0.95, 0.97, 0.8, 1.0]
+        (tmp_path / "a.csv").write_text(", ".join(map(str, fa)) + "\n")
+        (tmp_path / "b.csv").write_text(", ".join(map(str, fb)) + "\n")
+        out = tmp_path / "cmp.json"
+        rc = cli.main(["compare", "--f1-a", str(tmp_path / "a.csv"),
+                       "--f1-b", str(tmp_path / "b.csv"), "--out", str(out)])
+        assert rc == 0
+        want = json_text({"paired_t": stats.paired_ttest(fa, fb),
+                          "wilcoxon": stats.wilcoxon_signed_rank(fa, fb)})
+        assert out.read_text() == want
+        assert capsys.readouterr().out == want + "\n"
+        doc = json.loads(want)
+        assert doc["paired_t"]["p_value_one_sided"] == pytest.approx(
+            doc["paired_t"]["p_value"] / 2)
+        assert set(doc["wilcoxon"]) == {"W", "p_value", "significant_at_0_05", "w_plus",
+                                        "w_minus", "n", "method"}
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_value_is_validation_error(self, tmp_path, capsys, token):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vibgraph import autodiff as ad
 from vibgraph import ensemble as en
 
 
@@ -284,7 +285,7 @@ class TestBoosting:
         X, y = blobs(n_per=10, seed=8)
         soft = en.train_regularized_boosting(X, y, n_rounds=5, l2_leaf=1000.0)
         hard = en.train_regularized_boosting(X, y, n_rounds=5, l2_leaf=0.001)
-        prior_probs = en._softmax(np.tile(soft["prior_scores"], (len(X), 1)))
+        prior_probs = ad.softmax(np.tile(soft["prior_scores"], (len(X), 1)))
         dev_soft = np.abs(en.predict_base("regularized_boosting", soft, X)
                           - prior_probs).max()
         dev_hard = np.abs(en.predict_base("regularized_boosting", hard, X)

@@ -4,6 +4,8 @@ Statistical moments are checked on closed-form cases; the periodogram
 features against a direct DFT of a pure tone.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,13 +188,20 @@ class TestMinMaxScaler:
 
     def test_round_trip_serialization(self):
         M = np.random.default_rng(5).normal(size=(10, 3))
-        _, scaler = ft.minmax_normalize(M)
-        clone = ft.MinMaxScaler(**scaler.to_dict())
+        N, scaler = ft.minmax_normalize(M)
+        clone = json.loads(json.dumps(scaler))
         held_out = np.random.default_rng(6).normal(size=(4, 3))
-        np.testing.assert_array_equal(scaler.transform(held_out),
-                                      clone.transform(held_out))
+        np.testing.assert_array_equal(ft.minmax_scale(held_out, **scaler),
+                                      ft.minmax_scale(held_out, **clone))
+        np.testing.assert_array_equal(ft.minmax_scale(M, **clone), N)
 
     def test_held_out_can_exceed_range(self):
         _, scaler = ft.minmax_normalize(np.array([[0.0], [1.0]]))
-        out = scaler.transform(np.array([[2.0]]))
+        out = ft.minmax_scale(np.array([[2.0]]), **scaler)
         assert out[0, 0] == 2.0
+
+    def test_scaler_is_a_plain_json_object(self):
+        M = np.column_stack([np.arange(4.0), np.full(4, 7.0)])
+        _, scaler = ft.minmax_normalize(M)
+        assert json.loads(json.dumps(scaler)) == scaler
+        assert scaler == {"col_min": [0.0, 7.0], "col_max": [3.0, 7.0]}

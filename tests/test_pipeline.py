@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vibgraph import pipeline as pl
-from vibgraph import synthetic
+from vibgraph import stats, synthetic
 from vibgraph.graph import load_graph
 
 
@@ -219,6 +219,11 @@ class TestCrossEval:
         assert set(summary["reports"]) == {"a->a", "a->b", "b->a", "b->b"}
         assert set(summary["f1_summary"]) == {"a", "b"}
         assert "a vs b" in summary["paired_tests"]
+        f1 = {t: np.concatenate([json.load(open(f"{out}/report_{t}_to_{u}.json"))["f1"]
+                                 for u in ("a", "b")]) for t in ("a", "b")}
+        assert summary["paired_tests"] == {"a vs b": stats.paired_ttest(f1["a"], f1["b"])}
+        assert json.load(open(f"{out}/summary.json"))["paired_tests"] \
+            == summary["paired_tests"]
         for rec in summary["reports"].values():
             doc = json.load(open(f"{out}/{rec['file']}"))
             assert doc["macro_f1"] == pytest.approx(rec["macro_f1"])

@@ -84,24 +84,24 @@ class TestPairedT:
                 b = a + rng.normal(shift, 0.5, size=n)
                 got = st.paired_ttest(a, b)
                 want = sps.ttest_rel(a, b)
-                assert got.statistic == pytest.approx(want.statistic)
-                assert got.p_value == pytest.approx(want.pvalue)
+                assert got["t_statistic"] == pytest.approx(want.statistic)
+                assert got["p_value"] == pytest.approx(want.pvalue)
                 greater = sps.ttest_rel(a, b, alternative="greater").pvalue
-                assert abs(got.extra["p_value_one_sided"] - greater) <= 1e-12
-                signs.add(got.statistic > 0)
+                assert abs(got["p_value_one_sided"] - greater) <= 1e-12
+                signs.add(got["t_statistic"] > 0)
         assert signs == {True, False}
 
     def test_one_sided_p_is_half_for_positive_t(self):
         a = np.array([1.0, 2.0, 3.0, 4.5])
         b = a - np.array([0.5, 0.4, 0.6, 0.5])
         got = st.paired_ttest(a, b)
-        assert got.statistic > 0
-        assert got.extra["p_value_one_sided"] == pytest.approx(got.p_value / 2)
+        assert got["t_statistic"] > 0
+        assert got["p_value_one_sided"] == pytest.approx(got["p_value"] / 2)
 
     def test_mean_difference_recorded(self):
         got = st.paired_ttest([2.0, 3.0], [1.0, 1.0])
-        assert got.extra["mean_difference"] == pytest.approx(1.5)
-        assert got.extra["df"] == 1
+        assert got["mean_difference"] == pytest.approx(1.5)
+        assert got["df"] == 1
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -133,22 +133,22 @@ class TestWilcoxon:
             if not d.any():
                 d[0] = 1.0
             got = st.wilcoxon_signed_rank(d, np.zeros(n))
-            assert got.extra["method"] == "exact"
-            assert got.p_value == pytest.approx(self.enumerate_p(d))
+            assert got["method"] == "exact"
+            assert got["p_value"] == pytest.approx(self.enumerate_p(d))
 
     def test_statistic_is_min_of_signed_sums(self):
         a = np.array([3.0, 1.0, 4.0, 1.5])
         b = np.array([1.0, 2.0, 1.0, 1.0])
         got = st.wilcoxon_signed_rank(a, b)
-        assert got.statistic == min(got.extra["w_plus"], got.extra["w_minus"])
-        assert got.extra["w_plus"] + got.extra["w_minus"] \
-            == got.extra["n"] * (got.extra["n"] + 1) / 2
+        assert got["W"] == min(got["w_plus"], got["w_minus"])
+        assert got["w_plus"] + got["w_minus"] \
+            == got["n"] * (got["n"] + 1) / 2
 
     def test_zero_differences_dropped(self):
         a = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         b = np.array([1.0, 2.0, 2.0, 5.0, 3.0])
         got = st.wilcoxon_signed_rank(a, b)
-        assert got.extra["n"] == 3
+        assert got["n"] == 3
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -159,16 +159,16 @@ class TestWilcoxon:
         a = rng.normal(0.5, 1, size=30)
         b = rng.normal(0, 1, size=30)
         got = st.wilcoxon_signed_rank(a, b)
-        assert got.extra["method"] == "normal_approx"
+        assert got["method"] == "normal_approx"
         want = sps.wilcoxon(a, b, mode="approx", correction=False)
-        assert got.statistic == pytest.approx(want.statistic)
-        assert got.p_value == pytest.approx(want.pvalue, rel=1e-6)
+        assert got["W"] == pytest.approx(want.statistic)
+        assert got["p_value"] == pytest.approx(want.pvalue, rel=1e-6)
 
     def test_handles_tied_ranks(self):
         a = np.array([2.0, 2.0, 2.0, 5.0, 5.0])
         b = np.zeros(5)
         got = st.wilcoxon_signed_rank(a, b)
-        assert got.p_value == pytest.approx(self.enumerate_p(a))
+        assert got["p_value"] == pytest.approx(self.enumerate_p(a))
 
 
 class TestF1Summary:
