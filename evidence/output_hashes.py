@@ -5,7 +5,10 @@
 Writes two synthetic loads into DIR/data, then runs, inside DIR: build-graph
 for each load, train on load a, evaluate that model on both graphs,
 cross-eval over both loads and compare on the two cross-eval models'
-per-class F1 vectors. It prints one ``sha256  path`` line per output file,
+per-class F1 vectors. It then trains on load a and evaluates on load b
+once more at the default GAE widths and depths (three GAT layers of 10
+heads x 64, two transformer layers of 5 heads), which the fast settings
+leave unexercised. It prints one ``sha256  path`` line per output file,
 paths relative to DIR and sorted, so two checkouts can be compared with
 ``diff``. The config holds relative paths only (``data_dir = "data"``):
 ``config_hash`` covers the paths and every graph and report embeds it, so
@@ -49,6 +52,11 @@ mlp_epochs = 20
 cv_folds = 3
 data_dir = "data"
 """
+# the same run at GaeConfig's default widths and depths
+WIDE_CONFIG = "".join(line for line in CONFIG.splitlines(keepends=True)
+                      if line.split(" = ")[0] not in
+                      ("hidden_dim", "latent_dim", "num_gat_layers", "num_transformer_layers",
+                       "gat_heads", "transformer_heads"))
 LOADS = ("a", "b")
 
 
@@ -77,6 +85,11 @@ def write_outputs():
             Path(f"xeval/report_{train}_to_{test}.json").read_text())["f1"]]
         Path(f"f1_{train}.csv").write_text(",".join(map(repr, f1)) + "\n")
     run("compare", "--f1-a", "f1_a.csv", "--f1-b", "f1_b.csv", "--out", "cmp.json")
+    Path("config_wide.toml").write_text(WIDE_CONFIG)
+    wide = ["--config", "config_wide.toml"]
+    run("train", *wide, "--graph", "graph_a.json", "--out", "model_wide")
+    run("evaluate", *wide, "--model", "model_wide", "--graph", "graph_b.json",
+        "--out", "eval_wide_a_to_b.json")
 
 
 def main(argv):

@@ -195,38 +195,60 @@ def row_sum(x: np.ndarray, nbrs) -> np.ndarray:
 
 
 def _spmm(A: np.ndarray, X: np.ndarray, nbrs) -> np.ndarray:
+    """Head k of the sparse product: column block k of X summed over each
+    row's entries, weighted by column k of A. One CSR matrix serves every
+    head; its data is set to each head's (contiguous) column of A in turn."""
     from scipy.sparse import csr_matrix     # here, so that importing vibgraph skips scipy
-    m = len(nbrs.indptr) - 1
-    return np.hstack([csr_matrix((A[:, k], nbrs.cols, nbrs.indptr), shape=(m, m)) @ Xk
-                      for k, Xk in enumerate(np.split(X, A.shape[1], axis=1))])
+    m, heads = len(nbrs.indptr) - 1, A.shape[1]
+    h = X.shape[1] // heads
+    AT = A.T.copy()
+    S = csr_matrix((AT[0], nbrs.cols, nbrs.indptr), shape=(m, m))
+    out = np.empty((m, heads * h))
+    for k in range(heads):
+        S.data = AT[k]
+        out[:, k * h:(k + 1) * h] = S @ X[:, k * h:(k + 1) * h]
+    return out
 
 
 def _sddmm(P: np.ndarray, Q: np.ndarray, nbrs, heads: int) -> np.ndarray:
-    return np.stack([(Pk @ Qk.T)[nbrs.rows, nbrs.cols] for Pk, Qk
-                     in zip(np.split(P, heads, axis=1), np.split(Q, heads, axis=1))], axis=1)
+    """Head k of P Q^T (column block k of each) at each entry."""
+    h = P.shape[1] // heads
+    flat = nbrs.rows * len(Q) + nbrs.cols
+    out = np.empty((len(flat), heads))
+    for k in range(heads):
+        block = slice(k * h, (k + 1) * h)
+        out[:, k] = np.take(P[:, block] @ Q[:, block].T, flat)
+    return out
 
 
 def _edge_softmax(E: np.ndarray, nbrs) -> np.ndarray:
     """Softmax of each column of ``E`` over each row's entries."""
     if (np.diff(nbrs.indptr) == 0).any():
         raise DomainError("edge softmax over a row with no entries")
-    e = np.exp(E - np.maximum.reduceat(E, nbrs.indptr[:-1])[nbrs.rows])
-    return e / row_sum(e, nbrs)[nbrs.rows]
+    e = E - np.maximum.reduceat(E, nbrs.indptr[:-1])[nbrs.rows]
+    np.exp(e, out=e)
+    e /= row_sum(e, nbrs)[nbrs.rows]
+    return e
 
 
 def _edge_softmax_vjp(s: np.ndarray, g: np.ndarray, nbrs) -> np.ndarray:
-    return s * (g - row_sum(g * s, nbrs)[nbrs.rows])
+    """The edge softmax's vjp, computed in ``g``'s storage."""
+    g -= row_sum(g * s, nbrs)[nbrs.rows]
+    g *= s
+    return g
 
 
 def _head_mean(P: np.ndarray, heads: int, act: str):
     """The mean over heads of act(P), ``act`` "relu" or "elu", and the factor
-    act's vjp scales a gradient by: the sign mask, or 1 and exp(P) for ELU."""
+    act's vjp scales a gradient by: the sign mask, or exp(min(P, 0)) for ELU
+    (exactly 1 where P > 0). Overwrites P."""
     mask = P > 0
     if act == "relu":
-        P, dact = np.where(mask, P, 0.0), mask
+        np.copyto(P, 0.0, where=~mask)
+        dact = mask
     else:
-        ex = np.exp(np.minimum(P, 0.0))
-        P, dact = np.where(mask, P, ex - 1.0), np.where(mask, 1.0, ex)
+        dact = np.exp(np.minimum(P, 0.0))
+        np.subtract(dact, 1.0, out=P, where=~mask)
     return P.reshape(len(P), heads, -1).mean(axis=1), dact
 
 
@@ -247,14 +269,17 @@ def gat_layer(H: Tensor, nbrs, W: Tensor, a_src: Tensor, a_dst: Tensor, slope: f
     E = (np.einsum("ikh,hk->ik", X3, av)[nbrs.rows]
          + np.einsum("ikh,hk->ik", X3, bv)[nbrs.cols])
     mask = E > 0
-    A = _edge_softmax(np.where(mask, E, slope * E), nbrs)
+    np.multiply(E, slope, out=E, where=~mask)
+    A = _edge_softmax(E, nbrs)
     out, dact = _head_mean(_spmm(A, XW, nbrs), heads, "relu")
 
     def vjp(g):
         XW = Hv @ Wv
         X3 = XW.reshape(-1, heads, h)
-        gP = np.tile(g / heads, heads) * dact
-        gE = _edge_softmax_vjp(A, _sddmm(gP, XW, nbrs, heads), nbrs) * np.where(mask, 1.0, slope)
+        gP = np.tile(g / heads, heads)
+        gP *= dact
+        gE = _edge_softmax_vjp(A, _sddmm(gP, XW, nbrs, heads), nbrs)
+        np.multiply(gE, slope, out=gE, where=~mask)     # LeakyReLU's factor is 1 where E > 0
         gu, gv = row_sum(gE, nbrs), row_sum(gE[nbrs.perm], nbrs)
         ga_src, ga_dst = np.einsum("ikh,ik->hk", X3, gu), np.einsum("ikh,ik->hk", X3, gv)
         del XW, X3
@@ -278,12 +303,17 @@ def transformer_layer(H: Tensor, nbrs, Wq: Tensor, Wk: Tensor, Wv: Tensor, heads
            H, Wq, Wk, Wv)
     Hv, Wqv, Wkv, Wvv = H.values, Wq.values, Wk.values, Wv.values
     scale = float(scale)
-    A = _edge_softmax(_sddmm(Hv @ Wqv, Hv @ Wkv, nbrs, heads) * scale, nbrs)
+    S = _sddmm(Hv @ Wqv, Hv @ Wkv, nbrs, heads)
+    S *= scale
+    A = _edge_softmax(S, nbrs)
+    del S
     out, dact = _head_mean(_spmm(A, Hv @ Wvv, nbrs), heads, "elu")
 
     def vjp(g):
-        gP = np.tile(g / heads, heads) * dact
-        gS = _edge_softmax_vjp(A, _sddmm(gP, Hv @ Wvv, nbrs, heads), nbrs) * scale
+        gP = np.tile(g / heads, heads)
+        gP *= dact
+        gS = _edge_softmax_vjp(A, _sddmm(gP, Hv @ Wvv, nbrs, heads), nbrs)
+        gS *= scale
         gV = _spmm(A[nbrs.perm], gP, nbrs)
         del gP
         gQ = _spmm(gS, Hv @ Wkv, nbrs)

@@ -37,6 +37,8 @@ def _read_f1_csv(path):
                         raise ValueError(f"{path}: F1 value {tok!r} is not a number") from None
                     if not is_finite_number(values[-1]):
                         raise ValueError(f"{path}: F1 value {tok!r} is not finite")
+                    if not 0.0 <= values[-1] <= 1.0:
+                        raise ValueError(f"{path}: F1 value {tok!r} is outside [0, 1]")
     if not values:
         raise ValueError(f"{path}: no F1 values found")
     return np.asarray(values)
@@ -91,6 +93,9 @@ def cmd_cross_eval(args):
 def cmd_compare(args):
     a = _read_f1_csv(args.f1_a)
     b = _read_f1_csv(args.f1_b)
+    if len(a) != len(b):
+        raise ValueError(f"{args.f1_a} holds {len(a)} F1 values and {args.f1_b} holds "
+                         f"{len(b)}; the paired tests need equal counts")
     text = json_text({"paired_t": stats.paired_ttest(a, b),
                       "wilcoxon": stats.wilcoxon_signed_rank(a, b)})
     if args.out:

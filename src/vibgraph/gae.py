@@ -270,16 +270,19 @@ def train(graph: FaultGraph, config: GaeConfig) -> TrainedGAE:
         eps = rng.standard_normal((m, config.latent_dim))
         out = forward_loss(graph, params, config, eps, row_mask)
 
-        for A in out["attns"]:
-            # each head's attention over each neighborhood must sum to 1
-            dev = np.abs(ad.row_sum(A.values, graph.neighbors()) - 1.0).max()
-            max_attn_dev = max(max_attn_dev, float(dev))
+        # each head's attention over each neighborhood must sum to 1
+        max_attn_dev = max(max_attn_dev, *(
+            float(np.abs(ad.row_sum(A.values, graph.neighbors()) - 1.0).max())
+            for A in out["attns"]))
         min_kl = min(min_kl, out["L_KL"].item())
 
         for name, rows in zip(curves, (tr_idx, va_idx, te_idx)):
             curves[name].append(_rec_loss_rows(X, out["X_hat"].values, rows))
 
-        ad.backward(out["L"])
+        # drop this epoch's outputs, so that backward frees their arrays and
+        # none lives on through the next epoch's forward pass
+        loss, out = out["L"], None
+        ad.backward(loss)
         ad.adam_step(opt)
 
     return TrainedGAE(

@@ -9,6 +9,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vibgraph import autodiff as ad
 from vibgraph import gae
@@ -371,6 +372,108 @@ class TestFusion:
         assert (fused_out[2] < 0).any() and (fused_out[2] > 0).any()   # both ELU branches
         for a, b in zip(fused_out + fused_grads, chain_out + chain_grads):
             assert np.array_equal(a, b)
+
+
+# The sparse kernels as they were written before one CSR matrix served every
+# head and the steps ran in place: the reference for the kernels, byte for byte.
+
+def old_spmm(A, X, nbrs):
+    from scipy.sparse import csr_matrix
+    m = len(nbrs.indptr) - 1
+    return np.hstack([csr_matrix((A[:, k], nbrs.cols, nbrs.indptr), shape=(m, m)) @ Xk
+                      for k, Xk in enumerate(np.split(X, A.shape[1], axis=1))])
+
+
+def old_sddmm(P, Q, nbrs, heads):
+    return np.stack([(Pk @ Qk.T)[nbrs.rows, nbrs.cols] for Pk, Qk
+                     in zip(np.split(P, heads, axis=1), np.split(Q, heads, axis=1))], axis=1)
+
+
+def old_edge_softmax(E, nbrs):
+    e = np.exp(E - np.maximum.reduceat(E, nbrs.indptr[:-1])[nbrs.rows])
+    return e / ad.row_sum(e, nbrs)[nbrs.rows]
+
+
+def old_edge_softmax_vjp(s, g, nbrs):
+    return s * (g - ad.row_sum(g * s, nbrs)[nbrs.rows])
+
+
+def old_head_mean(P, heads, act):
+    mask = P > 0
+    if act == "relu":
+        P, dact = np.where(mask, P, 0.0), mask
+    else:
+        ex = np.exp(np.minimum(P, 0.0))
+        P, dact = np.where(mask, P, ex - 1.0), np.where(mask, 1.0, ex)
+    return P.reshape(len(P), heads, -1).mean(axis=1), dact
+
+
+# ELU inputs at its edges: signed zeros, negatives so small that exp rounds to
+# 1 (so ELU gives 0), and negatives so large that exp underflows to 0
+SPECIALS = [0.0, -0.0, -1e-17, -5e-324, -1e-300, -40.0, -800.0, -1e308]
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def column_block(rng, rows, cols, specials=False):
+    """A (rows, cols) non-contiguous view: a column block of a wider array,
+    some of whose entries are SPECIALS when ``specials`` is set."""
+    wide = rng.normal(scale=3.0, size=(rows, cols + 3))
+    if specials:
+        hit = rng.random(wide.shape) < 0.3
+        wide[hit] = rng.choice(SPECIALS, size=hit.sum())
+    return wide[:, 2:2 + cols]
+
+
+class TestKernelOracle:
+    """The kernels against the formulas they replace, on random graphs with
+    one node whose only entry is its self-loop."""
+
+    @staticmethod
+    def graph(m, density, seed):
+        rng = np.random.default_rng(seed)
+        linked = np.triu(rng.random((m, m)) < density, 1)
+        edges = [(i, j, 0.5) for i, j in zip(*np.nonzero(linked))]
+        return nbrs_of(edges, m + 1), rng           # node m: self-loop only
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 12), density=st.floats(0.0, 1.0),
+           heads=st.sampled_from([1, 2, 5, 10]), h=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_kernels_match_the_old_formulas_byte_for_byte(self, m, density, heads, h, seed):
+        nbrs, rng = self.graph(m, density, seed)
+        assert nbrs.rows[nbrs.indptr[m]:].tolist() == [m] == nbrs.cols[nbrs.indptr[m]:].tolist()
+        n, nnz = m + 1, len(nbrs.rows)
+        for contiguous in (False, True):
+            A, E, g = (column_block(rng, nnz, heads) for _ in range(3))
+            X, P, Q = (column_block(rng, n, heads * h) for _ in range(3))
+            if contiguous:
+                A, E, g, X, P, Q = map(np.ascontiguousarray, (A, E, g, X, P, Q))
+            A = np.abs(A)
+            assert same_bytes(ad._spmm(A, X, nbrs), old_spmm(A, X, nbrs))
+            assert same_bytes(ad._sddmm(P, Q, nbrs, heads), old_sddmm(P, Q, nbrs, heads))
+            s = ad._edge_softmax(E, nbrs)
+            assert same_bytes(s, old_edge_softmax(E, nbrs))
+            assert same_bytes(ad._edge_softmax_vjp(s, g.copy(), nbrs),
+                              old_edge_softmax_vjp(s, g, nbrs))
+            for act in ("relu", "elu"):
+                P = column_block(rng, n, heads * h, specials=True)
+                if contiguous:
+                    P = np.ascontiguousarray(P)
+                expect = old_head_mean(P, heads, act)
+                got = ad._head_mean(P.copy(), heads, act)
+                assert all(same_bytes(a, b) for a, b in zip(got, expect))
+
+    def test_elu_edges_byte_for_byte(self):
+        # every special ELU input in each of 5 heads, averaged with the others
+        P = np.array([np.roll(SPECIALS, k) for k in range(5)]).T.copy()
+        expect = old_head_mean(P, 5, "elu")
+        got = ad._head_mean(P.copy(), 5, "elu")
+        assert all(same_bytes(a, b) for a, b in zip(got, expect))
+        assert got[1][P == -1e-17].tolist() == [1.0] * 5     # exp rounds to 1
+        assert got[1][P == -1e308].tolist() == [0.0] * 5     # exp underflows
 
 
 class TestBackward:

@@ -629,6 +629,33 @@ class TestCompare:
         assert rc == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {a}: F1 value 'x' is not a number\n"
 
+    @pytest.mark.parametrize("token", ["1.5", "-0.3", "1.0000001"])
+    def test_value_outside_unit_interval_is_validation_error(self, tmp_path, capsys, token):
+        a = tmp_path / "a.csv"
+        a.write_text("0.5, 0.4, 0.2\n")
+        b = tmp_path / "b.csv"
+        b.write_text(f"0.9, {token}, 0.8\n")
+        rc = cli.main(["compare", "--f1-a", str(a), "--f1-b", str(b)])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {b}: F1 value {token!r} is outside [0, 1]\n")
+
+    def test_bounds_of_unit_interval_accepted(self, tmp_path):
+        a = tmp_path / "a.csv"
+        a.write_text("0.0, 1.0, 0.5\n")
+        b = tmp_path / "b.csv"
+        b.write_text("1.0, 0.0, 0.4\n")
+        assert cli.main(["compare", "--f1-a", str(a), "--f1-b", str(b)]) == cli.EXIT_OK
+
+    def test_unequal_lengths_name_both_files(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("0.9, 0.8, 0.7\n")
+        b = tmp_path / "b.csv"
+        b.write_text("0.8, 0.7\n")
+        rc = cli.main(["compare", "--f1-a", str(a), "--f1-b", str(b)])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {a} holds 3 F1 values and {b} holds 2; "
+                                           f"the paired tests need equal counts\n")
+
     def test_empty_file_is_validation_error(self, tmp_path):
         a = tmp_path / "a.csv"
         a.write_text("# only a comment\n")
