@@ -8,11 +8,15 @@ cross-eval over both loads and compare on the two cross-eval models'
 per-class F1 vectors. It then trains on load a and evaluates on load b
 once more at the default GAE widths and depths (three GAT layers of 10
 heads x 64, two transformer layers of 5 heads), which the fast settings
-leave unexercised. It prints one ``sha256  path`` line per output file,
-paths relative to DIR and sorted, so two checkouts can be compared with
-``diff``. The config holds relative paths only (``data_dir = "data"``):
-``config_hash`` covers the paths and every graph and report embeds it, so
-absolute paths would make the hashes depend on where DIR lives.
+leave unexercised. Last, it writes load a's recordings again as ``.bin``
+files in DIR/data/bin and runs build-graph on them at ``block_size = 4``
+with the ``rms`` reducer, where block reduction is not the identity it is
+at ``block_size = 1`` with ``mean``. It prints one ``sha256  path`` line
+per output file, paths relative to DIR and sorted, so two checkouts can be
+compared with ``diff``. The config holds relative paths only
+(``data_dir = "data"``): ``config_hash`` covers the paths and every graph
+and report embeds it, so absolute paths would make the hashes depend on
+where DIR lives.
 
 The CLI's own messages go to stderr; stdout holds only the hash lines.
 """
@@ -25,6 +29,8 @@ import json
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -57,6 +63,10 @@ WIDE_CONFIG = "".join(line for line in CONFIG.splitlines(keepends=True)
                       if line.split(" = ")[0] not in
                       ("hidden_dim", "latent_dim", "num_gat_layers", "num_transformer_layers",
                        "gat_heads", "transformer_heads"))
+# load a's recordings as .bin files, block-reduced by RMS
+BIN_CONFIG = (CONFIG.replace("block_size = 1", "block_size = 4")
+              .replace('reducer = "mean"', 'reducer = "rms"')
+              .replace('data_dir = "data"', 'data_dir = "data/bin"'))
 LOADS = ("a", "b")
 
 
@@ -90,6 +100,24 @@ def write_outputs():
     run("train", *wide, "--graph", "graph_a.json", "--out", "model_wide")
     run("evaluate", *wide, "--model", "model_wide", "--graph", "graph_b.json",
         "--out", "eval_wide_a_to_b.json")
+    write_binary_recordings("a")
+    Path("config_bin.toml").write_text(BIN_CONFIG)
+    run("build-graph", "--config", "config_bin.toml", "--load", "a",
+        "--out", "graph_bin_a.json")
+
+
+def write_binary_recordings(load):
+    """``load``'s CSV recordings in data/ again as .bin files, with their own
+    manifest, in data/bin."""
+    Path("data/bin").mkdir()
+    rows = ["file,channel,fault_class,load_tag"]
+    for row in Path("data/manifest.csv").read_text().splitlines()[1:]:
+        name, _, fault_class, load_tag = row.split(",")
+        if load_tag == load:
+            binary = Path(name).stem + ".bin"
+            np.loadtxt(f"data/{name}").tofile(f"data/bin/{binary}")
+            rows.append(f"{binary},0,{fault_class},{load_tag}")
+    Path("data/bin/manifest.csv").write_text("\n".join(rows) + "\n")
 
 
 def main(argv):

@@ -18,7 +18,6 @@ from .ensemble import (EnsembleModel, fit_ensemble, fit_ensemble_weights,
 from .stats import (confusion_matrix, precision_recall_f1,
                     accuracy, paired_ttest, wilcoxon_signed_rank, f1_summary,
                     evaluation_report)
-from .data import (RawRecording, read_manifest, load_recordings, block_reduce,
-                   assemble_dataset)
+from .data import read_manifest, load_series, block_reduce
 
 __version__ = "0.1.0"

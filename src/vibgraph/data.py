@@ -1,5 +1,5 @@
-"""Dataset ingestion: manifest-driven loading, 1024-step block reduction, and
-assembly of per-load labeled series."""
+"""Dataset ingestion: manifest-driven loading of per-load labeled series, with
+1024-step block reduction."""
 
 from __future__ import annotations
 
@@ -21,18 +21,6 @@ DEFAULT_N_CLASSES = 10
 DEFAULT_SAMPLING_RATE = 48000.0
 DEFAULT_BLOCK = 1024
 DEFAULT_REDUCER = "rms"
-
-
-@dataclass
-class RawRecording:
-    samples: np.ndarray
-    fault_class: int
-    load_tag: str
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.size == 0:
-            raise ValueError("recording has no samples")
 
 
 @dataclass
@@ -112,78 +100,86 @@ def _read_samples(path: str, channel: int) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def load_recordings(data_dir: str, manifest: list[ManifestEntry]) -> list[RawRecording]:
-    """Load every manifest entry; NaN samples are dropped with a logged count."""
-    recordings = []
-    for entry in manifest:
-        path = os.path.join(data_dir, entry.file)
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"recording file not found: {path}")
-        samples = _read_samples(path, entry.channel)
-        nan_mask = np.isnan(samples)
-        if nan_mask.any():
-            log.info("NaN removal: dropped %d of %d samples from %s",
-                     int(nan_mask.sum()), samples.size, entry.file)
-            samples = samples[~nan_mask]
-        if samples.size == 0:
-            raise ValueError(f"{entry.file}: empty after NaN removal")
-        recordings.append(RawRecording(samples=samples, fault_class=entry.fault_class,
-                                       load_tag=entry.load_tag))
-    return recordings
-
-
 REDUCERS = {
     "rms": lambda blocks: np.sqrt((blocks ** 2).mean(axis=1)),
     "mean": lambda blocks: blocks.mean(axis=1),
-    "first": lambda blocks: blocks[:, 0],
+    "first": lambda blocks: blocks[:, 0].copy(),    # a view keeps the whole recording alive
 }
 
 
-def block_reduce(recording: RawRecording, block: int = DEFAULT_BLOCK,
-                 reducer: str = DEFAULT_REDUCER) -> TimeSeries:
+def block_reduce(samples: np.ndarray, block: int = DEFAULT_BLOCK,
+                 reducer: str = DEFAULT_REDUCER) -> np.ndarray:
     """One value per full ``block`` of samples; the trailing remainder is dropped.
 
-    Default reducer is RMS, which preserves the vibration energy per block.
+    Default reducer is RMS, which preserves the vibration energy per block. A
+    block that overflows float64 reduces to inf or NaN without a numpy warning.
     """
     if block < 1:
         raise ValueError("block must be >= 1")
-    n_blocks = recording.samples.size // block
+    n_blocks = samples.size // block
     if n_blocks == 0:
         raise ValueError(
-            f"recording of {recording.samples.size} samples is shorter than "
+            f"recording of {samples.size} samples is shorter than "
             f"one block of {block}")
     if reducer not in REDUCERS:
         raise ValueError(f"unknown reducer {reducer!r}; choose from {sorted(REDUCERS)}")
-    blocks = recording.samples[:n_blocks * block].reshape(n_blocks, block)
-    reduced = REDUCERS[reducer](blocks)
-    labels = np.full(n_blocks, recording.fault_class, dtype=np.int64)
-    return TimeSeries(samples=reduced, labels=labels,
-                      source_id=recording.load_tag)
+    with np.errstate(all="ignore"):
+        return REDUCERS[reducer](samples[:n_blocks * block].reshape(n_blocks, block))
 
 
-def assemble_dataset(recordings: list[RawRecording], block: int = DEFAULT_BLOCK,
-                     reducer: str = DEFAULT_REDUCER) -> dict[str, TimeSeries]:
-    """Per-load labeled series: reduced recordings concatenated in manifest order.
+def load_series(data_dir: str, manifest: list[ManifestEntry], block: int = DEFAULT_BLOCK,
+                reducer: str = DEFAULT_REDUCER) -> dict[str, TimeSeries]:
+    """Per-load labeled series: the block-reduced recordings of each load,
+    concatenated in manifest order. Loads come in the order the manifest first
+    names them.
 
-    Every load must cover every fault class seen anywhere in the manifest.
+    Every load must cover every fault class seen anywhere in the manifest;
+    that is checked before any file is read. Recordings are then read one at
+    a time, so one raw recording is held at once.
     """
-    if not recordings:
-        raise ValueError("no recordings to assemble")
-    all_classes = sorted({r.fault_class for r in recordings})
-    loads = {}
-    for rec in recordings:
-        loads.setdefault(rec.load_tag, []).append(rec)
-
-    out = {}
-    for load_tag, recs in loads.items():
-        present = {r.fault_class for r in recs}
+    if not manifest:
+        raise ValueError("no recordings to load")
+    classes = {}
+    for entry in manifest:
+        classes.setdefault(entry.load_tag, set()).add(entry.fault_class)
+    all_classes = sorted(set().union(*classes.values()))
+    for load_tag, present in classes.items():
         missing = [c for c in all_classes if c not in present]
         if missing:
             raise ValueError(
                 f"load {load_tag!r} has zero recordings for classes {missing}")
-        pieces = [block_reduce(r, block, reducer) for r in recs]
-        out[load_tag] = TimeSeries(
-            samples=np.concatenate([p.samples for p in pieces]),
-            labels=np.concatenate([p.labels for p in pieces]),
-            source_id=load_tag)
-    return out
+
+    samples, labels = {}, {}
+    for entry in manifest:
+        piece = _reduced_recording(data_dir, entry, block, reducer)
+        samples.setdefault(entry.load_tag, []).append(piece)
+        labels.setdefault(entry.load_tag, []).append(np.full(piece.size, entry.fault_class))
+    return {load_tag: TimeSeries(samples=np.concatenate(samples[load_tag]),
+                                 labels=np.concatenate(labels[load_tag]), source_id=load_tag)
+            for load_tag in samples}
+
+
+def _reduced_recording(data_dir: str, entry: ManifestEntry, block: int,
+                       reducer: str) -> np.ndarray:
+    """One manifest row's samples, NaN samples dropped with a logged count,
+    block-reduced. The raw samples are freed on return."""
+    path = os.path.join(data_dir, entry.file)
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"recording file not found: {path}")
+    samples = _read_samples(path, entry.channel)
+    if samples.size == 0:
+        raise ValueError(f"{entry.file}: holds no samples")
+    nan_mask = np.isnan(samples)
+    if nan_mask.any():
+        log.info("NaN removal: dropped %d of %d samples from %s",
+                 int(nan_mask.sum()), samples.size, entry.file)
+        samples = samples[~nan_mask]
+        if samples.size == 0:
+            raise ValueError(f"{entry.file}: empty after NaN removal")
+    reduced = block_reduce(samples, block, reducer)
+    if not np.isfinite(reduced).all():
+        if np.isinf(samples).any():
+            raise ValueError(f"{entry.file}: holds an infinite sample; preprocess first")
+        raise ValueError(f"{entry.file}: the {reducer} of a {block}-sample block overflows "
+                         "float64; preprocess first")
+    return reduced

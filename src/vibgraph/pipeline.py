@@ -15,8 +15,7 @@ import numpy as np
 
 from . import gae, stats
 from .data import (DEFAULT_BLOCK, DEFAULT_N_CLASSES, DEFAULT_REDUCER,
-                   DEFAULT_SAMPLING_RATE, REDUCERS, assemble_dataset,
-                   load_recordings, read_manifest)
+                   DEFAULT_SAMPLING_RATE, REDUCERS, load_series, read_manifest)
 from .checks import (atomic_write_text, check_bounds, is_finite_number, numbers, read_json,
                      write_json)
 from .ensemble import (BASE_KINDS, DEFAULT_HYPERPARAMS, EnsembleModel, check_hyperparams,
@@ -344,8 +343,7 @@ def evaluate_on_graph(model: TrainedGAE, ens: EnsembleModel,
 def load_series_by_load(cfg: dict) -> dict[str, TimeSeries]:
     manifest = read_manifest(os.path.join(cfg["data_dir"], cfg["manifest"]),
                              cfg["n_classes"])
-    recordings = load_recordings(cfg["data_dir"], manifest)
-    return assemble_dataset(recordings, cfg["block_size"], cfg["reducer"])
+    return load_series(cfg["data_dir"], manifest, cfg["block_size"], cfg["reducer"])
 
 
 def cross_eval(cfg: dict, out_dir: str, loads: list[str] | None = None) -> dict:

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -150,7 +151,26 @@ class TestBuildGraph:
                        "--out", str(tmp_path / "g.json")])
         assert rc == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == (
-            "error: samples contain NaN or inf; preprocess first\n")
+            "error: a_c1_2.csv: holds an infinite sample; preprocess first\n")
+        assert not (tmp_path / "g.json").exists()
+
+    def test_overflowing_block_is_validation_error(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data_dir"], data)
+        recording = data / "a_c1_2.csv"
+        lines = recording.read_text().splitlines()
+        lines[7] = "1e200"      # its square overflows float64
+        recording.write_text("\n".join(lines) + "\n")
+        config = tmp_path / "rms.toml"
+        config.write_text(config_text(data, 'reducer = "rms"'))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # numpy prints no RuntimeWarning
+            rc = cli.main(["build-graph", "--config", str(config), "--load", "a",
+                           "--out", str(tmp_path / "g.json")])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: a_c1_2.csv: the rms of a 1-sample block overflows float64; "
+            "preprocess first\n")
         assert not (tmp_path / "g.json").exists()
 
     def test_near_constant_window_is_validation_error(self, workspace, tmp_path,
